@@ -34,10 +34,11 @@ metrics-race:
 
 # Coherence stress gate (fixed seeds, deterministic): the randomized DAG
 # audit sweep over every policy bundle/topology/mode, the cache coherence
-# fuzzer, the auditor's mutation self-tests, and the mode-parity check.
+# fuzzer, the eviction victim-order check against its linear-scan
+# reference, the auditor's mutation self-tests, and the mode-parity check.
 stress:
 	$(GO) test -count=1 -run 'TestAuditRandomDAGSweep|TestAuditCatchesEvilEvictor|TestFunctionalTimingParity|TestRandomDAG|TestChainedForward' ./internal/xkrt/
-	$(GO) test -count=1 -run 'TestCacheCoherenceFuzz|TestCancelInflight' ./internal/cache/
+	$(GO) test -count=1 -run 'TestCacheCoherenceFuzz|TestEvictionVictimOrder|TestCancelInflight' ./internal/cache/
 	$(GO) test -count=1 ./internal/check/
 
 # Fabric-graph gate: registry-wide Validate + legacy route/link-class

@@ -9,6 +9,11 @@
 // memory pools and evicted in LRU order with read-only (clean) replicas
 // evicted first, XKaapi's eviction policy.
 //
+// Replica state is dense: each tile keeps its replica and under-transfer
+// records in slices indexed by device, mirrored by uint64 masks, so the
+// hot queries (ValidOn, ValidGPUs, InflightTo, ...) are bit operations.
+// Platforms are therefore limited to topology.MaxGPUs devices.
+//
 // In functional mode the cache moves real float64 tile data so numerics can
 // be verified end-to-end; in timing mode replicas are metadata only.
 package cache
@@ -16,6 +21,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"xkblas/internal/check"
 	"xkblas/internal/device"
@@ -88,24 +94,33 @@ type Observer interface {
 }
 
 // replica is the per-device state of one tile. Replicas come from a
-// per-cache free list and carry their own LRU linkage (an intrusive doubly
-// linked list), so replica churn performs no heap allocation once the pool
-// is warm.
+// per-cache free list and carry their own eviction-list linkage (an
+// intrusive doubly linked list), so replica churn performs no heap
+// allocation once the pool is warm.
 type replica struct {
 	valid bool
 	dirty bool
 	pins  int
 	buf   matrix.View // dense device copy (functional mode only)
 
-	// Intrusive LRU linkage: position in the device's recency list, plus
-	// the back-references the eviction walk needs.
+	// stamp is the replica's recency: the cache clock at its allocation or
+	// latest Touch. A dirty replica is off its device's eviction list and
+	// keeps only the stamp, so flush completion can relink it exactly where
+	// a list of every replica would hold it.
+	stamp uint64
+
+	// Intrusive linkage: position in the device's eviction list, plus the
+	// back-reference the eviction walk needs.
 	tile       *Tile
 	prev, next *replica
 }
 
-// lruList is an intrusive doubly linked recency list (front = LRU victim,
-// back = most recently used). It replaces container/list: no per-node
-// Element allocation, and nodes recycle with their replicas.
+// lruList is a device's eviction list: an intrusive doubly linked list of
+// the device's non-dirty replicas in strictly increasing stamp order
+// (front = LRU victim, back = most recently used). Dirty replicas hold the
+// only copy of their tile and are never evicted, so they are not on it and
+// the eviction walk never passes them. Pinned and in-flight replicas stay
+// on it: they are few and short-lived, and the evictor still sees them.
 type lruList struct {
 	head, tail *replica
 }
@@ -142,6 +157,37 @@ func (l *lruList) moveToBack(r *replica) {
 	l.pushBack(r)
 }
 
+// insert links r at its stamp position. It walks inward from both ends at
+// once, so the cost is the distance to the nearer end.
+func (l *lruList) insert(r *replica) {
+	for f, b := l.head, l.tail; b != nil; f, b = f.next, b.prev {
+		if b.stamp < r.stamp {
+			l.linkBefore(r, b.next)
+			return
+		}
+		if f.stamp > r.stamp {
+			l.linkBefore(r, f)
+			return
+		}
+	}
+	l.pushBack(r)
+}
+
+// linkBefore links r in front of at, or at the back when at is nil.
+func (l *lruList) linkBefore(r, at *replica) {
+	if at == nil {
+		l.pushBack(r)
+		return
+	}
+	r.prev, r.next = at.prev, at
+	if at.prev != nil {
+		at.prev.next = r
+	} else {
+		l.head = r
+	}
+	at.prev = r
+}
+
 // Inflight records a transfer (or a chained wait) whose payload is heading
 // to a device; waiters fire once the replica is valid there (err == nil)
 // or the chain feeding it fails (err != nil, see CancelInflight). A record
@@ -168,10 +214,49 @@ type Tile struct {
 	Owner topology.DeviceID
 
 	hostValid bool
-	reps      map[topology.DeviceID]*replica
-	inflight  map[topology.DeviceID]*Inflight
 	flushing  bool
 	flushWait []func()
+
+	// Replica state indexed by device id: reps[d] is the replica record on
+	// GPU d (allocated, not necessarily valid yet) and inflight[d] the
+	// under-transfer record heading there, nil when absent. Bit d of
+	// validMask is set exactly when reps[d] is valid, bit d of inflightMask
+	// exactly when inflight[d] exists.
+	reps         []*replica
+	inflight     []*Inflight
+	validMask    uint64
+	inflightMask uint64
+}
+
+// bit is dev's mask bit; 0 for Host and any other negative id.
+func bit(dev topology.DeviceID) uint64 { return 1 << uint(dev) }
+
+// rep returns the replica record on dev, or nil.
+func (t *Tile) rep(dev topology.DeviceID) *replica {
+	if uint(dev) < uint(len(t.reps)) {
+		return t.reps[dev]
+	}
+	return nil
+}
+
+// setValid marks the replica r on dev valid.
+func (t *Tile) setValid(dev topology.DeviceID, r *replica) {
+	r.valid = true
+	t.validMask |= bit(dev)
+}
+
+// addInflight registers inf as the under-transfer record to dev.
+func (t *Tile) addInflight(dev topology.DeviceID, inf *Inflight) {
+	t.inflight[dev] = inf
+	t.inflightMask |= bit(dev)
+}
+
+// takeInflight unregisters and returns the under-transfer record to dev.
+func (t *Tile) takeInflight(dev topology.DeviceID) *Inflight {
+	inf := t.inflight[dev]
+	t.inflight[dev] = nil
+	t.inflightMask &^= bit(dev)
+	return inf
 }
 
 // Stats aggregates cache traffic. Hits/Misses/InflightWaits are counted by
@@ -215,18 +300,51 @@ type Cache struct {
 	Audit *check.Auditor
 
 	nextMat MatrixID
-	lru     []lruList // per device
 	stats   Stats
+
+	// Eviction state: per device, the eviction list and the number of
+	// resident dirty replicas (which are off the list); clock is the
+	// recency counter behind replica stamps, incremented at each
+	// allocation and Touch.
+	lru    []lruList
+	dirtyN []int64
+	clock  uint64
 
 	// Arena state: every live tile is in allTiles; tileFree/repFree/infFree
 	// recycle records so steady-state registration, replica churn and
-	// transfer tracking perform no heap allocation. tilesLiveMax is the
-	// arena's high-water mark, published as cache.tiles_live_max.
+	// transfer tracking perform no heap allocation. tileSlab/repSlab/infSlab
+	// are the unused tails of the blocks new tile records and their
+	// per-device slices are cut from. tilesLiveMax is the arena's high-water
+	// mark, published as cache.tiles_live_max.
 	allTiles     []*Tile
 	tileFree     []*Tile
 	repFree      []*replica
 	infFree      []*Inflight
+	tileSlab     []Tile
+	repSlab      []*replica
+	infSlab      []*Inflight
 	tilesLiveMax int
+}
+
+// slabTiles is how many tile records (with their per-device slices) one
+// slab block holds, so registering a large matrix costs three allocations
+// per slabTiles tiles rather than three per tile.
+const slabTiles = 256
+
+// freshTile cuts a new tile record and its per-device replica and
+// under-transfer slices from the slab blocks.
+func (c *Cache) freshTile() *Tile {
+	n := len(c.lru)
+	if len(c.tileSlab) == 0 {
+		c.tileSlab = make([]Tile, slabTiles)
+		c.repSlab = make([]*replica, n*slabTiles)
+		c.infSlab = make([]*Inflight, n*slabTiles)
+	}
+	t := &c.tileSlab[0]
+	c.tileSlab = c.tileSlab[1:]
+	t.reps, t.inflight = c.repSlab[:n:n], c.infSlab[:n:n]
+	c.repSlab, c.infSlab = c.repSlab[n:], c.infSlab[n:]
+	return t
 }
 
 // New creates a cache over a simulated platform. functional selects whether
@@ -234,6 +352,7 @@ type Cache struct {
 func New(plat *device.Platform, functional bool) *Cache {
 	c := &Cache{Plat: plat, Functional: functional, Evictor: policy.LRUReadOnlyFirst{}}
 	c.lru = make([]lruList, len(plat.GPUs))
+	c.dirtyN = make([]int64, len(plat.GPUs))
 	return c
 }
 
@@ -248,13 +367,18 @@ func New(plat *device.Platform, functional bool) *Cache {
 func (c *Cache) Reset() {
 	for _, t := range c.allTiles {
 		for d, r := range t.reps {
-			delete(t.reps, d)
-			c.recycleReplica(r)
+			if r != nil {
+				t.reps[d] = nil
+				c.recycleReplica(r)
+			}
 		}
 		for d, inf := range t.inflight {
-			delete(t.inflight, d)
-			c.recycleInflight(inf)
+			if inf != nil {
+				t.inflight[d] = nil
+				c.recycleInflight(inf)
+			}
 		}
+		t.validMask, t.inflightMask = 0, 0
 		t.flushWait = nil
 		t.Host = matrix.View{}
 		c.tileFree = append(c.tileFree, t)
@@ -262,7 +386,9 @@ func (c *Cache) Reset() {
 	c.allTiles = c.allTiles[:0]
 	for i := range c.lru {
 		c.lru[i] = lruList{}
+		c.dirtyN[i] = 0
 	}
+	c.clock = 0
 	c.nextMat = 0
 	c.stats = Stats{}
 	c.tilesLiveMax = 0
@@ -273,7 +399,7 @@ func (c *Cache) Reset() {
 // recycleReplica clears a replica record and pools it. The functional-mode
 // buffer is kept: a later replica of the same tile shape reuses it.
 func (c *Cache) recycleReplica(r *replica) {
-	r.valid, r.dirty, r.pins = false, false, 0
+	r.valid, r.dirty, r.pins, r.stamp = false, false, 0, 0
 	r.tile, r.prev, r.next = nil, nil, nil
 	c.repFree = append(c.repFree, r)
 }
@@ -356,31 +482,22 @@ func (c *Cache) NewMatrixID() MatrixID {
 
 // NewTile registers a tile backed by the given host sub-view. Host data is
 // initially valid on the host only. Tiles come from the cache's arena: a
-// record recycled by Reset is reused (with its map storage), so repeated
-// registrations on a reused runtime allocate nothing in steady state.
+// record recycled by Reset is reused (with its per-device slices), so
+// repeated registrations on a reused runtime allocate nothing in steady
+// state, and new records are cut from slab blocks.
 func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 	var t *Tile
 	if n := len(c.tileFree); n > 0 {
 		t = c.tileFree[n-1]
 		c.tileFree[n-1] = nil
 		c.tileFree = c.tileFree[:n-1]
-		t.Key, t.M, t.N, t.Bytes, t.Host = key, host.M, host.N, host.Bytes(), host
-		t.Owner = -1
-		t.hostValid = true
-		t.flushing = false
 	} else {
-		t = &Tile{
-			Key:       key,
-			M:         host.M,
-			N:         host.N,
-			Bytes:     host.Bytes(),
-			Host:      host,
-			Owner:     -1,
-			hostValid: true,
-			reps:      make(map[topology.DeviceID]*replica),
-			inflight:  make(map[topology.DeviceID]*Inflight),
-		}
+		t = c.freshTile()
 	}
+	t.Key, t.M, t.N, t.Bytes, t.Host = key, host.M, host.N, host.Bytes(), host
+	t.Owner = -1
+	t.hostValid = true
+	t.flushing = false
 	c.allTiles = append(c.allTiles, t)
 	if len(c.allTiles) > c.tilesLiveMax {
 		c.tilesLiveMax = len(c.allTiles)
@@ -392,62 +509,39 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 func (t *Tile) HostValid() bool { return t.hostValid }
 
 // ValidOn reports whether dev holds a valid replica.
-func (t *Tile) ValidOn(dev topology.DeviceID) bool {
-	r, ok := t.reps[dev]
-	return ok && r.valid
-}
+func (t *Tile) ValidOn(dev topology.DeviceID) bool { return t.validMask&bit(dev) != 0 }
 
 // DirtyOn reports the device holding the sole modified replica, or -1.
 func (t *Tile) DirtyOn() topology.DeviceID {
-	for d, r := range t.reps {
-		if r.valid && r.dirty {
-			return d
+	for m := t.validMask; m != 0; m &= m - 1 {
+		if d := bits.TrailingZeros64(m); t.reps[d].dirty {
+			return topology.DeviceID(d)
 		}
 	}
 	return -1
 }
 
 // ValidGPUs lists devices holding valid replicas in ascending id order.
-func (t *Tile) ValidGPUs() []topology.DeviceID {
-	var out []topology.DeviceID
-	for d := topology.DeviceID(0); int(d) < len(t.repsUpper()); d++ {
-		if t.ValidOn(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// repsUpper gives an iteration bound: device ids are dense starting at 0.
-func (t *Tile) repsUpper() []struct{} {
-	max := 0
-	for d := range t.reps {
-		if int(d)+1 > max {
-			max = int(d) + 1
-		}
-	}
-	return make([]struct{}, max)
-}
+func (t *Tile) ValidGPUs() []topology.DeviceID { return maskDevices(t.validMask) }
 
 // InflightDsts lists devices with a replica under transfer, ascending.
-func (t *Tile) InflightDsts() []topology.DeviceID {
-	var out []topology.DeviceID
-	for d := range t.inflight {
-		out = append(out, d)
+func (t *Tile) InflightDsts() []topology.DeviceID { return maskDevices(t.inflightMask) }
+
+// maskDevices lists the devices whose bits are set in m, ascending; nil
+// for an empty mask.
+func maskDevices(m uint64) []topology.DeviceID {
+	if m == 0 {
+		return nil
 	}
-	for i := 1; i < len(out); i++ { // insertion sort: tiny slices
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make([]topology.DeviceID, 0, bits.OnesCount64(m))
+	for ; m != 0; m &= m - 1 {
+		out = append(out, topology.DeviceID(bits.TrailingZeros64(m)))
 	}
 	return out
 }
 
 // InflightTo reports whether a transfer to dev is in progress.
-func (t *Tile) InflightTo(dev topology.DeviceID) bool {
-	_, ok := t.inflight[dev]
-	return ok
-}
+func (t *Tile) InflightTo(dev topology.DeviceID) bool { return t.inflightMask&bit(dev) != 0 }
 
 // InflightStarted reports whether the under-transfer record to dev exists
 // and its physical transfer is already on the wire. A registered record
@@ -455,8 +549,7 @@ func (t *Tile) InflightTo(dev topology.DeviceID) bool {
 // CancelInflight may remove; the cancellation sweep uses this to tell the
 // two apart.
 func (t *Tile) InflightStarted(dev topology.DeviceID) bool {
-	inf, ok := t.inflight[dev]
-	return ok && inf.started
+	return t.InflightTo(dev) && t.inflight[dev].started
 }
 
 // SizeBytes implements policy.TileView.
@@ -480,17 +573,17 @@ func (t *Tile) CheckID() check.TileID {
 // completes (err == nil) or the chain feeding it is cancelled (err !=
 // nil). It panics if no transfer to dev is in flight.
 func (t *Tile) AddInflightWaiter(dev topology.DeviceID, fn func(err error)) {
-	inf, ok := t.inflight[dev]
-	if !ok {
+	if !t.InflightTo(dev) {
 		panic(fmt.Sprintf("cache: no inflight to %d for %v", dev, t.Key))
 	}
+	inf := t.inflight[dev]
 	inf.waiters = append(inf.waiters, fn)
 }
 
 // Pin prevents the replica on dev from being evicted. Valid replica
 // required.
 func (c *Cache) Pin(t *Tile, dev topology.DeviceID) {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil || !r.valid {
 		panic(fmt.Sprintf("cache: pin of invalid replica %v on %d", t.Key, dev))
 	}
@@ -502,7 +595,7 @@ func (c *Cache) Pin(t *Tile, dev topology.DeviceID) {
 
 // Unpin releases one pin.
 func (c *Cache) Unpin(t *Tile, dev topology.DeviceID) {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil || r.pins <= 0 {
 		panic(fmt.Sprintf("cache: unbalanced unpin %v on %d", t.Key, dev))
 	}
@@ -512,17 +605,22 @@ func (c *Cache) Unpin(t *Tile, dev topology.DeviceID) {
 	r.pins--
 }
 
-// Touch moves the replica to the most-recently-used position.
+// Touch makes the replica the most recently used on dev. A dirty replica
+// is off the eviction list and only takes the new stamp.
 func (c *Cache) Touch(t *Tile, dev topology.DeviceID) {
-	if r := t.reps[dev]; r != nil {
-		c.lru[dev].moveToBack(r)
+	if r := t.rep(dev); r != nil {
+		c.clock++
+		r.stamp = c.clock
+		if !r.dirty {
+			c.lru[dev].moveToBack(r)
+		}
 	}
 }
 
 // DeviceBuf returns the dense device replica view for kernel bodies
 // (functional mode). The replica must be valid.
 func (c *Cache) DeviceBuf(t *Tile, dev topology.DeviceID) matrix.View {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil || !r.valid {
 		panic(fmt.Sprintf("cache: no valid replica of %v on %d", t.Key, dev))
 	}
@@ -533,7 +631,7 @@ func (c *Cache) DeviceBuf(t *Tile, dev topology.DeviceID) matrix.View {
 // with buffer space on dev. A failure is always an *OOMError (matched by
 // errors.Is against ErrDeviceOOM): nothing evictable remained.
 func (c *Cache) ensureReplica(t *Tile, dev topology.DeviceID) (*replica, error) {
-	if r, ok := t.reps[dev]; ok {
+	if r := t.rep(dev); r != nil {
 		return r, nil
 	}
 	pool := c.Plat.GPU(dev).Mem
@@ -556,6 +654,8 @@ func (c *Cache) ensureReplica(t *Tile, dev topology.DeviceID) (*replica, error) 
 		r.buf = matrix.New(t.M, t.N)
 	}
 	r.tile = t
+	c.clock++
+	r.stamp = c.clock
 	c.lru[dev].pushBack(r)
 	t.reps[dev] = r
 	if c.Audit != nil {
@@ -564,14 +664,19 @@ func (c *Cache) ensureReplica(t *Tile, dev topology.DeviceID) (*replica, error) 
 	return r, nil
 }
 
-// evict frees up to need bytes on dev by walking replicas in LRU order
-// and consulting the eviction policy (default policy.LRUReadOnlyFirst:
-// read-only data first; dirty replicas are never dropped silently since
-// they hold the only copy). It frees what it can; the caller re-checks
-// the pool.
+// evict frees up to need bytes on dev by walking the eviction list in LRU
+// order and consulting the eviction policy (default
+// policy.LRUReadOnlyFirst). Dirty replicas hold the only copy of their
+// tile and are never dropped silently; they are not on the list, so the
+// walk never passes them and the candidates' Dirty flag stays false. Each
+// pass adds the device's resident dirty replicas to EvictDirtySkipped. It
+// frees what it can; the caller re-checks the pool.
 func (c *Cache) evict(dev topology.DeviceID, need int64) {
 	pool := c.Plat.GPU(dev).Mem
 	ev := c.evictor()
+	if c.Counters != nil && c.dirtyN[dev] > 0 {
+		c.Counters.EvictDirtySkipped.Add(c.dirtyN[dev])
+	}
 	for r := c.lru[dev].head; r != nil && pool.Available() < need; {
 		next := r.next
 		cand := policy.EvictCandidate{
@@ -589,8 +694,6 @@ func (c *Cache) evict(dev topology.DeviceID, need int64) {
 			if c.Counters != nil {
 				c.Counters.EvictClean.Add(1)
 			}
-		} else if cand.Dirty && c.Counters != nil {
-			c.Counters.EvictDirtySkipped.Add(1)
 		}
 		r = next
 	}
@@ -607,14 +710,19 @@ func (c *Cache) evictor() policy.Evictor {
 // dropReplica removes the replica record and frees its memory. reason
 // labels the transition for the auditor.
 func (c *Cache) dropReplica(t *Tile, dev topology.DeviceID, reason string) {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil {
 		return
 	}
-	c.lru[dev].remove(r)
+	if r.dirty {
+		c.dirtyN[dev]--
+	} else {
+		c.lru[dev].remove(r)
+	}
 	pool := c.Plat.GPU(dev).Mem
 	pool.Free(t.Bytes)
-	delete(t.reps, dev)
+	t.reps[dev] = nil
+	t.validMask &^= bit(dev)
 	c.recycleReplica(r)
 	if c.Audit != nil {
 		c.Audit.OnDrop(t.CheckID(), dev, pool.Used(), reason)
@@ -632,7 +740,7 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 	if t.ValidOn(dst) {
 		panic(fmt.Sprintf("cache: transfer to already-valid replica %v on %d", t.Key, dst))
 	}
-	if inf := t.inflight[dst]; inf != nil && inf.started {
+	if t.InflightStarted(dst) {
 		panic(fmt.Sprintf("cache: duplicate transfer of %v to %d", t.Key, dst))
 	}
 	if src == topology.Host {
@@ -651,7 +759,7 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 	inf := t.inflight[dst]
 	if inf == nil {
 		inf = c.newInflight(dst)
-		t.inflight[dst] = inf
+		t.addInflight(dst, inf)
 		if c.Audit != nil {
 			c.Audit.OnInflightMark(t.CheckID(), dst, false)
 		}
@@ -674,7 +782,7 @@ func (c *Cache) StartTransfer(t *Tile, src, dst topology.DeviceID, done func()) 
 }
 
 func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind TransferKind, start, end sim.Time) {
-	r := t.reps[dst]
+	r := t.rep(dst)
 	if r == nil {
 		panic(fmt.Sprintf("cache: replica of %v on %d vanished mid-transfer", t.Key, dst))
 	}
@@ -687,7 +795,7 @@ func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind Trans
 			r.buf.CopyFrom(c.DeviceBuf(t, src))
 		}
 	}
-	r.valid = true
+	t.setValid(dst, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dst, "transfer")
 	}
@@ -706,8 +814,7 @@ func (c *Cache) completeTransfer(t *Tile, src, dst topology.DeviceID, kind Trans
 	if c.Observer != nil {
 		c.Observer.OnTransfer(kind, src, dst, t.Bytes, c.serviceStart(src, dst, t.Bytes, start, end), end)
 	}
-	inf := t.inflight[dst]
-	delete(t.inflight, dst)
+	inf := t.takeInflight(dst)
 	if c.Audit != nil {
 		c.Audit.OnInflightResolve(t.CheckID(), dst)
 	}
@@ -752,7 +859,7 @@ func (c *Cache) MarkInflight(t *Tile, dst topology.DeviceID) *Inflight {
 		panic(fmt.Sprintf("cache: duplicate inflight mark for %v on %d", t.Key, dst))
 	}
 	inf := c.newInflight(dst)
-	t.inflight[dst] = inf
+	t.addInflight(dst, inf)
 	if c.Audit != nil {
 		c.Audit.OnInflightMark(t.CheckID(), dst, true)
 	}
@@ -768,14 +875,13 @@ func (c *Cache) MarkInflight(t *Tile, dst topology.DeviceID) *Inflight {
 // (physical transfers cannot fail in the model). Cancelling a missing
 // record is a no-op.
 func (c *Cache) CancelInflight(t *Tile, dst topology.DeviceID, err error) {
-	inf := t.inflight[dst]
-	if inf == nil {
+	if !t.InflightTo(dst) {
 		return
 	}
-	if inf.started {
+	if t.inflight[dst].started {
 		panic(fmt.Sprintf("cache: cancel of started transfer %v to %d", t.Key, dst))
 	}
-	delete(t.inflight, dst)
+	inf := t.takeInflight(dst)
 	if c.Audit != nil {
 		c.Audit.OnInflightCancel(t.CheckID(), dst)
 	}
@@ -796,7 +902,7 @@ func (c *Cache) AllocRaw(t *Tile, dev topology.DeviceID) error {
 	if err != nil {
 		return err
 	}
-	r.valid = true
+	t.setValid(dev, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dev, "alloc-raw")
 	}
@@ -811,7 +917,7 @@ func (c *Cache) AllocForWrite(t *Tile, dev topology.DeviceID) error {
 	if err != nil {
 		return err
 	}
-	r.valid = true
+	t.setValid(dev, r)
 	if c.Audit != nil {
 		c.Audit.OnReplicaValid(t.CheckID(), dev, "alloc-write")
 	}
@@ -820,14 +926,16 @@ func (c *Cache) AllocForWrite(t *Tile, dev topology.DeviceID) error {
 }
 
 // MarkDirty records that dev has modified its replica: every other replica
-// and the host copy become invalid (single-writer MOSI transition).
+// and the host copy become invalid (single-writer MOSI transition). The
+// replica leaves dev's eviction list until a flush cleans it.
 func (c *Cache) MarkDirty(t *Tile, dev topology.DeviceID) {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil || !r.valid {
 		panic(fmt.Sprintf("cache: MarkDirty on invalid replica %v@%d", t.Key, dev))
 	}
-	for d, other := range t.reps {
-		if d == dev {
+	for i, other := range t.reps {
+		d := topology.DeviceID(i)
+		if other == nil || d == dev {
 			continue
 		}
 		if other.pins > 0 || t.InflightTo(d) {
@@ -837,7 +945,11 @@ func (c *Cache) MarkDirty(t *Tile, dev topology.DeviceID) {
 		}
 		c.dropReplica(t, d, "write-invalidation")
 	}
-	r.dirty = true
+	if !r.dirty {
+		r.dirty = true
+		c.lru[dev].remove(r)
+		c.dirtyN[dev]++
+	}
 	t.hostValid = false
 	if c.Audit != nil {
 		c.Audit.OnMarkDirty(t.CheckID(), dev)
@@ -874,8 +986,11 @@ func (c *Cache) FlushToHost(t *Tile, done func()) {
 			t.Host.CopyFrom(c.DeviceBuf(t, dev))
 		}
 		c.Unpin(t, dev)
+		// Dirty -> clean: back on the eviction list at its recency.
 		r := t.reps[dev]
 		r.dirty = false
+		c.dirtyN[dev]--
+		c.lru[dev].insert(r)
 		t.hostValid = true
 		t.flushing = false
 		if c.Audit != nil {
@@ -900,7 +1015,7 @@ func (c *Cache) FlushToHost(t *Tile, done func()) {
 // transfer; used to model streaming libraries (cuBLAS-XT) and per-panel
 // re-broadcast (SLATE) that do not retain operands in device memory.
 func (c *Cache) DropClean(t *Tile, dev topology.DeviceID) {
-	r := t.reps[dev]
+	r := t.rep(dev)
 	if r == nil || r.dirty || r.pins > 0 || t.InflightTo(dev) {
 		return
 	}
@@ -913,7 +1028,11 @@ func (c *Cache) Invalidate(t *Tile) {
 	if !t.hostValid {
 		panic(fmt.Sprintf("cache: invalidating %v whose only copy is on-device", t.Key))
 	}
-	for d, r := range t.reps {
+	for i, r := range t.reps {
+		d := topology.DeviceID(i)
+		if r == nil {
+			continue
+		}
 		if r.pins > 0 || t.InflightTo(d) {
 			panic(fmt.Sprintf("cache: invalidating in-use replica %v@%d", t.Key, d))
 		}

@@ -20,7 +20,11 @@ import (
 //  2. memory accounting: per-device pool usage equals the sum of resident
 //     replica footprints;
 //  3. functional coherence: any valid replica holds the same bytes as the
-//     latest version.
+//     latest version;
+//  4. dense state: the valid and in-flight masks agree with the replica and
+//     under-transfer records, and each device's eviction list holds exactly
+//     its non-dirty replicas in strictly increasing stamp order, with the
+//     per-device dirty count matching the dirty replicas off the list.
 func TestCacheCoherenceFuzz(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		fuzzOnce(t, seed)
@@ -94,7 +98,7 @@ func fuzzOnce(t *testing.T, seed int64) {
 			}
 			pinned := false
 			for d, r := range tl.reps {
-				if d != dev && r.pins > 0 {
+				if r != nil && topology.DeviceID(d) != dev && r.pins > 0 {
 					pinned = true
 				}
 			}
@@ -169,9 +173,61 @@ func indexOf(ts []*Tile, tl *Tile) int {
 func checkInvariants(t *testing.T, st *fuzzState, seed int64, step int) {
 	t.Helper()
 	used := make(map[topology.DeviceID]int64)
+	onList := make(map[*replica]bool)
+	for d := range st.c.lru {
+		l := &st.c.lru[d]
+		var prev *replica
+		for r := l.head; r != nil; prev, r = r, r.next {
+			if r.prev != prev {
+				t.Fatalf("seed %d step %d: GPU %d eviction list has a broken back link", seed, step, d)
+			}
+			if prev != nil && prev.stamp >= r.stamp {
+				t.Fatalf("seed %d step %d: GPU %d eviction list stamps %d then %d, not increasing",
+					seed, step, d, prev.stamp, r.stamp)
+			}
+			if r.tile == nil || r.tile.rep(topology.DeviceID(d)) != r {
+				t.Fatalf("seed %d step %d: GPU %d eviction list holds a replica not resident there", seed, step, d)
+			}
+			if r.dirty {
+				t.Fatalf("seed %d step %d: GPU %d eviction list holds dirty %v", seed, step, d, r.tile.Key)
+			}
+			onList[r] = true
+		}
+		if l.tail != prev {
+			t.Fatalf("seed %d step %d: GPU %d eviction list tail is not its last node", seed, step, d)
+		}
+	}
+	dirtyOn := make([]int64, len(st.c.lru))
 	for i, tl := range st.tiles {
+		var valid, inflight uint64
+		for d, inf := range tl.inflight {
+			if inf != nil {
+				inflight |= 1 << uint(d)
+			}
+		}
+		if inflight != tl.inflightMask {
+			t.Fatalf("seed %d step %d: tile %d in-flight mask %b, records say %b",
+				seed, step, i, tl.inflightMask, inflight)
+		}
 		dirty := 0
-		for d, r := range tl.reps {
+		for di, r := range tl.reps {
+			if r == nil {
+				continue
+			}
+			d := topology.DeviceID(di)
+			if r.tile != tl {
+				t.Fatalf("seed %d step %d: tile %d replica on %d points at another tile", seed, step, i, d)
+			}
+			if r.valid {
+				valid |= 1 << uint(d)
+			}
+			if r.dirty == onList[r] {
+				t.Fatalf("seed %d step %d: tile %d replica on %d: dirty %v but on eviction list %v",
+					seed, step, i, d, r.dirty, onList[r])
+			}
+			if r.dirty {
+				dirtyOn[d]++
+			}
 			used[d] += tl.Bytes
 			if r.dirty {
 				if !r.valid {
@@ -180,11 +236,21 @@ func checkInvariants(t *testing.T, st *fuzzState, seed int64, step int) {
 				dirty++
 			}
 		}
+		if valid != tl.validMask {
+			t.Fatalf("seed %d step %d: tile %d valid mask %b, replicas say %b",
+				seed, step, i, tl.validMask, valid)
+		}
 		if dirty > 1 {
 			t.Fatalf("seed %d step %d: tile %d has %d dirty replicas", seed, step, i, dirty)
 		}
 		if !tl.HostValid() && dirty != 1 {
 			t.Fatalf("seed %d step %d: tile %d host-invalid with %d dirty replicas", seed, step, i, dirty)
+		}
+	}
+	for d, n := range dirtyOn {
+		if st.c.dirtyN[d] != n {
+			t.Fatalf("seed %d step %d: GPU %d dirty count %d, %d dirty replicas resident",
+				seed, step, d, st.c.dirtyN[d], n)
 		}
 	}
 	for d, g := range st.plat.GPUs {

@@ -4,7 +4,9 @@ package policy
 // the cache's least-recently-used scan order.
 type EvictCandidate struct {
 	// Dirty means the replica is the only copy of its tile's current
-	// version; dropping it silently would lose data.
+	// version; dropping it silently would lose data. The cache's capacity
+	// scan keeps dirty replicas off its eviction list, so it never offers
+	// one; an evictor must still refuse them.
 	Dirty bool
 	// Pinned means a task is actively using (or transferring from) the
 	// replica.

@@ -51,9 +51,11 @@ type Decisions struct {
 	ChainsMissed int64
 
 	// Eviction outcomes: EvictClean counts clean replicas dropped by the
-	// capacity evictor; EvictDirtySkipped counts dirty replicas the
-	// eviction scan had to walk past (a dirty replica holds the only copy
-	// of its tile and is never dropped silently).
+	// capacity evictor. EvictDirtySkipped counts the dirty replicas resident
+	// on the device, summed over eviction passes: the memory pressure no
+	// eviction can relieve, since a dirty replica holds the only copy of its
+	// tile and is never dropped silently. The eviction scan itself never
+	// walks past them: they are not on the device's eviction list.
 	EvictClean        int64
 	EvictDirtySkipped int64
 

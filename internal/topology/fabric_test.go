@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -359,6 +360,67 @@ func TestFabricFuzz(t *testing.T) {
 					t.Fatalf("trial %d: nondeterministic route %v->%v: %v vs %v", trial, src, dst, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildRejectsBadSpecs feeds Build malformed and oversized specs. A
+// platform above MaxGPUs fails Validate with a *GPULimitError; one at
+// exactly MaxGPUs builds.
+func TestBuildRejectsBadSpecs(t *testing.T) {
+	pcie := Link{Kind: LinkPCIe, BandwidthGBs: 12}
+	flat := func(gpus int) NodeSpec {
+		return NodeSpec{GPUs: gpus, GPU: V100SXM2, HostLink: pcie, SwitchLink: pcie,
+			SocketLink: pcie, SwitchOfGPU: make([]int, gpus), SocketOfSwitch: []int{0}}
+	}
+	net := Link{Kind: LinkNet, BandwidthGBs: 10}
+	nodes := func(n int, nd NodeSpec) []NodeSpec {
+		out := make([]NodeSpec, n)
+		for i := range out {
+			out[i] = nd
+		}
+		return out
+	}
+	shortSwitches := flat(4)
+	shortSwitches.SwitchOfGPU = shortSwitches.SwitchOfGPU[:3]
+	cases := []struct {
+		name     string
+		nodes    []NodeSpec
+		ok       bool
+		gpuLimit bool
+	}{
+		{name: "no nodes", nodes: nil},
+		{name: "zero GPUs", nodes: []NodeSpec{flat(0)}},
+		{name: "short SwitchOfGPU", nodes: []NodeSpec{shortSwitches}},
+		{name: "64 GPUs on one node", nodes: []NodeSpec{flat(MaxGPUs)}, ok: true},
+		{name: "65 GPUs on one node", nodes: []NodeSpec{flat(MaxGPUs + 1)}, gpuLimit: true},
+		{name: "8 DGX-1 nodes", nodes: nodes(8, dgx1Node(8)), ok: true},
+		{name: "9 DGX-1 nodes", nodes: nodes(9, dgx1Node(8)), gpuLimit: true},
+	}
+	for _, tc := range cases {
+		inter := Link{}
+		if len(tc.nodes) > 1 {
+			inter = net
+		}
+		p, err := Build(tc.name, tc.nodes, inter)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if p.NumGPUs > MaxGPUs {
+				t.Errorf("%s: built %d GPUs", tc.name, p.NumGPUs)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: Build accepted the spec", tc.name)
+			continue
+		}
+		var lim *GPULimitError
+		if got := errors.As(err, &lim); got != tc.gpuLimit {
+			t.Errorf("%s: GPULimitError = %v, want %v (err: %v)", tc.name, got, tc.gpuLimit, err)
+		}
+		if tc.gpuLimit && lim.GPUs <= MaxGPUs {
+			t.Errorf("%s: GPULimitError reports %d GPUs", tc.name, lim.GPUs)
 		}
 	}
 }

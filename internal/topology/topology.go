@@ -171,13 +171,32 @@ type Platform struct {
 	routes     [][]*Path
 }
 
-// Validate checks the fabric graph's internal consistency: well-formed
-// components and edges, unique resource names, a route between every
-// ordered device pair, and symmetric route classes. It is called by Build
-// (hence by every constructor) and again at registry registration.
+// MaxGPUs is the largest GPU count a platform may have: the software cache
+// keeps each tile's replica state in uint64 masks with one bit per GPU.
+const MaxGPUs = 64
+
+// GPULimitError reports a platform with more than MaxGPUs GPUs.
+type GPULimitError struct {
+	Platform string
+	GPUs     int
+}
+
+func (e *GPULimitError) Error() string {
+	return fmt.Sprintf("topology: platform %q has %d GPUs, more than the %d the cache's replica masks can hold",
+		e.Platform, e.GPUs, MaxGPUs)
+}
+
+// Validate checks the fabric graph's internal consistency: a GPU count in
+// 1..MaxGPUs, well-formed components and edges, unique resource names, a
+// route between every ordered device pair, and symmetric route classes. It
+// is called by Build (hence by every constructor) and again at registry
+// registration.
 func (p *Platform) Validate() error {
 	if p.NumGPUs <= 0 {
 		return fmt.Errorf("topology: platform %q has %d GPUs", p.Name, p.NumGPUs)
+	}
+	if p.NumGPUs > MaxGPUs {
+		return &GPULimitError{Platform: p.Name, GPUs: p.NumGPUs}
 	}
 	if len(p.gpuComp) != p.NumGPUs || len(p.gpuH2D) != p.NumGPUs ||
 		len(p.gpuD2H) != p.NumGPUs || len(p.gpuSpecs) != p.NumGPUs ||
