@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check topo-check serve-check pdes-check batch-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -41,17 +41,22 @@ stress:
 	$(GO) test -count=1 -run 'TestCacheCoherenceFuzz|TestEvictionVictimOrder|TestCancelInflight' ./internal/cache/
 	$(GO) test -count=1 ./internal/check/
 
+# Golden gate: one full quick sweep, byte-diffed against the committed
+# results_quick.txt. The routed fabric graph, the batched path (idle host
+# server included) and the parallel sweep harness must all reproduce the
+# committed event order exactly.
+golden-check:
+	$(GO) run ./cmd/xkbench -exp all -quick -parallel 8 > .golden-check.quick.txt && \
+		diff -u results_quick.txt .golden-check.quick.txt && rm -f .golden-check.quick.txt
+
 # Fabric-graph gate: registry-wide Validate + legacy route/link-class
 # parity + randomized topology fuzz of Route/Validate, the golden sweep
-# parity files of all three legacy platforms, the per-hop contention tests,
-# and a full quick-sweep byte-diff against the committed results_quick.txt
-# (the routed graph must reproduce the legacy event order exactly).
+# parity files of all three legacy platforms and the per-hop contention
+# tests. The quick-sweep byte-diff is golden-check's.
 topo-check:
 	$(GO) test -count=1 -run 'TestLegacyRouteParity|TestLegacyLinkClassParity|TestRegistryMatrixSymmetry|TestRegistryUnknownAndNames|TestFabricFuzz' ./internal/topology/
 	$(GO) test -count=1 -run 'TestQPIContention|TestNICContention|TestHostRouteContention' ./internal/device/
 	$(GO) test -count=1 -run 'Golden' ./internal/bench/
-	$(GO) run ./cmd/xkbench -exp all -quick > .topo-check.quick.txt && \
-		diff -u results_quick.txt .topo-check.quick.txt && rm -f .topo-check.quick.txt
 
 # Serving-path gate: the multi-tenant front end's unit and determinism
 # tests under the race detector (prewarm is the one concurrent phase), plus
@@ -64,40 +69,21 @@ serve-check:
 		$(GO) run ./cmd/xkserve -requests 300 -parallel 2 -no-reuse > .serve-check.b.txt && \
 		diff -u .serve-check.a.txt .serve-check.b.txt && rm -f .serve-check.a.txt .serve-check.b.txt
 
-# Partitioned-event-loop gate: the engine-level bugfix and parity tests,
-# the forced-worker runs under the race detector, the cross-platform
-# -sim-workers sweep parity and the functional-offload parity, then a full
-# quick-sweep byte-diff against the committed results_quick.txt at
-# -sim-workers 8 (the partitioned engine must reproduce the sequential
-# event order exactly).
-pdes-check:
-	$(GO) test -count=1 -run 'TestRunUntilAdvancesClock|TestEngineFreeListCapped|TestPar|TestSetWorkers' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestParStopRace|TestParParity' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestFunctionalSimWorkersParity' ./internal/core/
-	$(GO) test -count=1 -run 'TestSimWorkersSweepParity' ./internal/bench/
-	$(GO) test -count=1 -run 'TestFlagProblem' ./cmd/xkbench/
-	$(GO) run ./cmd/xkbench -exp all -quick -sim-workers 8 > .pdes-check.quick.txt && \
-		diff -u results_quick.txt .pdes-check.quick.txt && rm -f .pdes-check.quick.txt
-
 # Batched-dispatch gate: the model-derived crossover contract (the
 # crossover leg is never more than 5% slower than the better forced leg at
-# every swept point), batched determinism across handle reuse and
-# partitioned event loops, the dispatch-flag validation, and a full
-# quick-sweep byte-diff against the committed results_quick.txt (the
-# batched path — idle host server included — must leave the non-batched
-# event order untouched).
+# every swept point), batched determinism across a rerun and handle reuse,
+# and the dispatch-flag validation. That the batched path leaves the
+# non-batched event order untouched is golden-check's byte-diff.
 batch-check:
 	$(GO) test -count=1 -run 'TestRunBatched|TestDispatch' ./internal/baseline/
 	$(GO) test -count=1 -run 'TestBatchedRequestKindServed' ./internal/serve/
 	$(GO) test -count=1 -run 'TestFlagProblem|TestBatch' ./cmd/xkbench/
-	$(GO) run ./cmd/xkbench -exp all -quick -parallel 8 > .batch-check.quick.txt && \
-		diff -u results_quick.txt .batch-check.quick.txt && rm -f .batch-check.quick.txt
 
 # Default verification gate: build, vet, formatting, tests, stress, race,
-# the steady-state allocation budget, the fabric-graph parity gate, the
-# serving-path gate, the partitioned-event-loop gate and the
+# the steady-state allocation budget, the golden quick-sweep byte-diff (run
+# once), the fabric-graph parity gate, the serving-path gate and the
 # batched-dispatch gate.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc topo-check serve-check pdes-check batch-check
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:

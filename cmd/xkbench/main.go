@@ -75,8 +75,6 @@ func main() {
 		"print the policy-decision counters (transfer sources by link class, optimistic chains, evictions, steals) of each sweep point")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker goroutines for independent simulated runs (1 = sequential; results are bit-identical at any level)")
-	simWorkers := flag.Int("sim-workers", 1,
-		"event-loop workers inside each simulated run: values above 1 partition the engine by platform resource under conservative lookahead (1 = sequential engine; results are bit-identical at any count)")
 	checkFlag := flag.Bool("check", false,
 		"run every simulation under the coherence-invariant auditor (internal/check); violations surface as per-point errors and a non-zero exit")
 	timeout := flag.Duration("timeout", 0,
@@ -105,7 +103,7 @@ func main() {
 		"batch experiment: pin the square instance dimension instead of sweeping the default grid (0 = sweep)")
 	flag.Parse()
 
-	if msg := flagProblem(*window, *parallel, *simWorkers, *batchCount, *batchN); msg != "" {
+	if msg := flagProblem(*window, *parallel, *batchCount, *batchN); msg != "" {
 		fmt.Fprintf(os.Stderr, "xkbench: %s\n", msg)
 		flag.Usage()
 		os.Exit(2)
@@ -122,7 +120,6 @@ func main() {
 	bench.ForceStreamWindow = *window
 	bench.ForceStreamWhole = *streamWhole
 	bench.DefaultParallelism = *parallel
-	bench.SimWorkers = *simWorkers
 	bench.CheckRuns = *checkFlag
 	var liveSrv *metrics.LiveServer
 	if *serve != "" {
@@ -309,16 +306,14 @@ func main() {
 // flagProblem validates the concurrency/window/batch flags, returning a
 // diagnostic message (empty = valid). -window 0 means "whole graph" and
 // -batch-count/-batch-n 0 mean "sweep the default grid", so only negatives
-// are nonsense there; a parallelism or engine-worker count below 1 has no
-// meaning at all and used to be accepted silently.
-func flagProblem(window, parallel, simWorkers, batchCount, batchN int) string {
+// are nonsense there; a parallelism below 1 has no meaning at all and used
+// to be accepted silently.
+func flagProblem(window, parallel, batchCount, batchN int) string {
 	switch {
 	case window < 0:
 		return fmt.Sprintf("-window must be >= 0, got %d", window)
 	case parallel < 1:
 		return fmt.Sprintf("-parallel must be >= 1, got %d", parallel)
-	case simWorkers < 1:
-		return fmt.Sprintf("-sim-workers must be >= 1, got %d", simWorkers)
 	case batchCount < 0:
 		return fmt.Sprintf("-batch-count must be >= 0, got %d", batchCount)
 	case batchN < 0:

@@ -341,35 +341,33 @@ func TestServeConfigRejectsBadFlags(t *testing.T) {
 }
 
 // TestFlagProblemRejectsBadConcurrency locks the flag validation behind the
-// exit-2 path of main: zero/negative -parallel and -sim-workers (and a
-// negative -window) used to be accepted silently; now each produces a
-// usage diagnostic. -window 0 stays valid — it means "whole graph".
+// exit-2 path of main: zero/negative -parallel (and a negative -window)
+// used to be accepted silently; now each produces a usage diagnostic.
+// -window 0 stays valid — it means "whole graph".
 func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 	for _, tc := range []struct {
-		window, parallel, simWorkers, batchCount, batchN int
-		bad                                              string // substring of the expected message; "" = valid
+		window, parallel, batchCount, batchN int
+		bad                                  string // substring of the expected message; "" = valid
 	}{
-		{0, 1, 1, 0, 0, ""},
-		{16, 8, 8, 64, 256, ""},
-		{-1, 1, 1, 0, 0, "-window"},
-		{0, 0, 1, 0, 0, "-parallel"},
-		{0, -3, 1, 0, 0, "-parallel"},
-		{0, 1, 0, 0, 0, "-sim-workers"},
-		{0, 1, -8, 0, 0, "-sim-workers"},
-		{0, 1, 1, -1, 0, "-batch-count"},
-		{0, 1, 1, 0, -64, "-batch-n"},
+		{0, 1, 0, 0, ""},
+		{16, 8, 64, 256, ""},
+		{-1, 1, 0, 0, "-window"},
+		{0, 0, 0, 0, "-parallel"},
+		{0, -3, 0, 0, "-parallel"},
+		{0, 1, -1, 0, "-batch-count"},
+		{0, 1, 0, -64, "-batch-n"},
 	} {
-		msg := flagProblem(tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN)
+		msg := flagProblem(tc.window, tc.parallel, tc.batchCount, tc.batchN)
 		if tc.bad == "" {
 			if msg != "" {
-				t.Errorf("flagProblem(%d,%d,%d,%d,%d) = %q, want valid",
-					tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN, msg)
+				t.Errorf("flagProblem(%d,%d,%d,%d) = %q, want valid",
+					tc.window, tc.parallel, tc.batchCount, tc.batchN, msg)
 			}
 			continue
 		}
 		if !strings.Contains(msg, tc.bad) {
-			t.Errorf("flagProblem(%d,%d,%d,%d,%d) = %q, want mention of %s",
-				tc.window, tc.parallel, tc.simWorkers, tc.batchCount, tc.batchN, msg, tc.bad)
+			t.Errorf("flagProblem(%d,%d,%d,%d) = %q, want mention of %s",
+				tc.window, tc.parallel, tc.batchCount, tc.batchN, msg, tc.bad)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
 				Scenario: baseline.DataOnHost, Check: CheckRuns, Ctx: SweepContext,
-				SimWorkers: simWorkers(Config{}), Handles: pool,
+				Handles: pool,
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])

@@ -77,7 +77,7 @@ func RunBigNGemm(cfg BigNConfig) (res BigNResult) {
 	opts := xkrt.DefaultOptions()
 	opts.StreamWindow = cfg.Window
 	opts.StreamWhole = cfg.Whole
-	h := core.NewHandle(core.Config{TileSize: cfg.NB, Options: opts, SimWorkers: SimWorkers})
+	h := core.NewHandle(core.Config{TileSize: cfg.NB, Options: opts})
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("bign: %v", r)

@@ -269,9 +269,6 @@ func NewPlatformWithLinks(eng *sim.Engine, topo *topology.Platform, links LinkMo
 			p.routes[si][di] = hops
 		}
 	}
-	// Partitioned engines (SetWorkers > 1) get the resource→logical-process
-	// mapping; sequential engines are untouched.
-	p.ConfigurePartitions()
 	return p
 }
 

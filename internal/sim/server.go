@@ -32,19 +32,6 @@ type JobDone interface {
 	JobDone(start, end Time)
 }
 
-// JobDoneLocal is an optional extension of JobDone for the partitioned
-// engine: when a completion fires on a partition worker rather than the
-// coordinator, JobDoneLocal runs there first — in key order within the
-// partition, but possibly ahead of the coordinator's merged clock — and
-// JobDone still runs on the coordinator at the completion's exact merged
-// position. Implementations must touch only state owned by the completing
-// resource's partition (per-device buffers, never shared runtime tables);
-// the runtime uses it to execute functional kernel bodies on workers.
-type JobDoneLocal interface {
-	JobDone
-	JobDoneLocal(start, end Time)
-}
-
 // ResourceStats is the unified utilization report of every resource model.
 // Served/Units/Busy cover *delivered* service only: when the engine aborts
 // mid-run (Engine.Stop, Runtime.Cancel), jobs still in the queue appear in
@@ -96,18 +83,8 @@ type Server struct {
 	pending int
 
 	// jobFree recycles completion records: steady-state submission performs
-	// no heap allocation (mirroring the engine's event free list). In
-	// partitioned mode it is guarded by lp.mu.
+	// no heap allocation (mirroring the engine's event free list).
 	jobFree []*srvJob
-
-	// Partitioned-mode state. lp routes completion events to a logical
-	// process (nil = sequential byte path). endQ[endHead:] holds the
-	// completion keys of outstanding jobs in merged order; submitPar drains
-	// it lazily against the engine's merged position for exact InflightMax
-	// accounting without consulting worker progress.
-	lp      *Partition
-	endQ    []pendKey
-	endHead int
 }
 
 // srvJob is the pooled completion record of one queued job. It doubles as
@@ -117,7 +94,6 @@ type srvJob struct {
 	s          *Server
 	size       float64
 	start, end Time
-	seq        uint64 // merged-order sequence (partitioned mode)
 	done       func(start, end Time)
 	jd         JobDone
 }
@@ -125,10 +101,6 @@ type srvJob struct {
 // Fire implements Handler: credit served work, recycle, notify.
 func (j *srvJob) Fire() {
 	s := j.s
-	if s.lp != nil {
-		j.fireLP()
-		return
-	}
 	s.pending--
 	s.stats.Served++
 	s.stats.Units += j.size
@@ -141,52 +113,6 @@ func (j *srvJob) Fire() {
 	} else if done != nil {
 		done(start, end)
 	}
-}
-
-// fireLP is the partition half of a completion: it credits the server's
-// served-work counters (state owned by this partition alone), runs the
-// optional partition-local callback (functional kernel bodies), and — when
-// workers are live — forwards the coordinator half through the partition
-// inbox so JobDone/done fire at this completion's exact merged position.
-// With no workers up, the engine is on the merged inline path and the
-// callback runs immediately, which is the sequential order.
-func (j *srvJob) fireLP() {
-	s := j.s
-	lp := s.lp
-	s.stats.Served++
-	s.stats.Units += j.size
-	s.stats.Busy += j.end - j.start
-	done, jd, start, end, seq := j.done, j.jd, j.start, j.end, j.seq
-	j.done, j.jd = nil, nil
-	if jl, ok := jd.(JobDoneLocal); ok {
-		jl.JobDoneLocal(start, end)
-	}
-	if s.eng.par.running {
-		lp.mu.Lock()
-		s.jobFree = append(s.jobFree, j)
-		if jd != nil || done != nil {
-			lp.inbox = append(lp.inbox, fwdMsg{at: end, seq: seq, start: start, end: end, done: done, jd: jd})
-		}
-		lp.mu.Unlock()
-		return
-	}
-	s.jobFree = append(s.jobFree, j)
-	if jd != nil {
-		jd.JobDone(start, end)
-	} else if done != nil {
-		done(start, end)
-	}
-}
-
-// SetPartition assigns the server's completion events to a logical process
-// of the partitioned engine. A nil partition (NewPartition on a sequential
-// engine) is a no-op, so platform builders can call it unconditionally.
-// Call before any job is submitted.
-func (s *Server) SetPartition(lp *Partition) {
-	if lp == nil {
-		return
-	}
-	s.lp = lp
 }
 
 // NewServer creates a FIFO server with the given service rate in units per
@@ -222,10 +148,6 @@ func (s *Server) submit(size float64, overhead Time, done func(start, end Time),
 	if size < 0 {
 		panic(fmt.Sprintf("sim: negative job size %g on %q", size, s.name))
 	}
-	if s.lp != nil {
-		s.submitPar(size, overhead, done, jd)
-		return
-	}
 	start := s.busyUntil
 	if now := s.eng.Now(); start < now {
 		start = now
@@ -253,59 +175,6 @@ func (s *Server) submit(size float64, overhead Time, done func(start, end Time),
 	s.eng.AtHandler(end, j)
 }
 
-// submitPar is the partitioned-mode submit: the completion event goes to
-// the server's logical process instead of the coordinator heap, with the
-// same global sequence number it would have received sequentially (submits
-// happen only from coordinator context, so assignment order is identical).
-func (s *Server) submitPar(size float64, overhead Time, done func(start, end Time), jd JobDone) {
-	e := s.eng
-	start := s.busyUntil
-	if now := e.now; start < now {
-		start = now
-	}
-	end := start + overhead + Time(size/s.rate)
-	if end < e.now+s.lp.lookahead {
-		panic(fmt.Sprintf("sim: job on %q completes at %v, inside partition %q's lookahead horizon (now %v + %v)",
-			s.name, end, s.lp.name, e.now, s.lp.lookahead))
-	}
-	s.busyUntil = end
-	s.stats.Submitted++
-	// Exact in-flight accounting without consulting worker progress: an
-	// outstanding job has completed, in merged order, iff its completion
-	// key is at or before the engine's current position — completion keys
-	// never equal a submitting event's key, and events fired early by a
-	// worker still count as in flight until the merged clock passes them,
-	// which is precisely the sequential engine's view.
-	cur := pendKey{e.now, e.curSeq}
-	for s.endHead < len(s.endQ) && keyLEq(s.endQ[s.endHead], cur) {
-		s.endHead++
-	}
-	if s.endHead == len(s.endQ) {
-		s.endQ = s.endQ[:0]
-		s.endHead = 0
-	}
-	inflight := len(s.endQ) - s.endHead + 1
-	if inflight > s.stats.InflightMax {
-		s.stats.InflightMax = inflight
-	}
-	e.seq++
-	seq := e.seq
-	s.endQ = append(s.endQ, pendKey{end, seq})
-	lp := s.lp
-	lp.mu.Lock()
-	var j *srvJob
-	if n := len(s.jobFree); n > 0 {
-		j = s.jobFree[n-1]
-		s.jobFree[n-1] = nil
-		s.jobFree = s.jobFree[:n-1]
-	} else {
-		j = &srvJob{}
-	}
-	j.s, j.size, j.start, j.end, j.done, j.jd, j.seq = s, size, start, end, done, jd, seq
-	lp.heap = heapPush(lp.heap, lp.acquireLocked(end, seq, j))
-	lp.mu.Unlock()
-}
-
 // ServiceTime reports how long a job of the given size would occupy the
 // server, excluding queueing.
 func (s *Server) ServiceTime(size float64, overhead Time) Time {
@@ -330,8 +199,6 @@ func (s *Server) Reset() {
 	s.busyUntil = 0
 	s.stats = ResourceStats{}
 	s.pending = 0
-	s.endQ = s.endQ[:0]
-	s.endHead = 0
 }
 
 // Transfer occupies every server in path with the same job and fires done

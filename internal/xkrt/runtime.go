@@ -8,7 +8,6 @@ import (
 	"xkblas/internal/cache"
 	"xkblas/internal/check"
 	"xkblas/internal/device"
-	"xkblas/internal/matrix"
 	"xkblas/internal/metrics"
 	"xkblas/internal/policy"
 	"xkblas/internal/sim"
@@ -548,9 +547,6 @@ func (rt *Runtime) recycleTask(t *Task) {
 	t.pendingFetch = 0
 	t.estExec = 0
 	t.readyAt = 0
-	t.bufs = nil
-	t.bufStore = [4]matrix.View{}
-	t.bodyDone = false
 	rt.taskFree = append(rt.taskFree, t)
 }
 

@@ -118,16 +118,6 @@ type Task struct {
 	pendingFetch int
 	estExec      sim.Time // DMDAS bookkeeping
 	readyAt      sim.Time // instant the task entered a ready queue
-
-	// Functional-mode offload onto the partitioned engine: launchKernel
-	// pre-resolves the device buffer views (stable while the accesses stay
-	// pinned, which they do from launch to completion), and the kernel body
-	// runs on the device's partition worker via JobDoneLocal instead of on
-	// the coordinator. bufs == nil means the body has not been offloaded
-	// and completeKernel runs it as before.
-	bufs     []matrix.View
-	bufStore [4]matrix.View
-	bodyDone bool
 }
 
 // ID reports the task's submission index.
@@ -153,21 +143,6 @@ func (t *Task) String() string {
 // JobDone implements sim.JobDone: the task itself is its kernel-completion
 // callback, so launching a kernel allocates no closure.
 func (t *Task) JobDone(start, end sim.Time) { t.rt.completeKernel(t, start, end) }
-
-// JobDoneLocal implements sim.JobDoneLocal: on a partitioned engine the
-// functional kernel body executes on the device's own logical process — the
-// real parallel arithmetic — while the runtime half of the completion
-// (JobDone → completeKernel) still fires on the coordinator in merged
-// order. It touches only the pre-resolved per-device buffers: the accesses
-// are pinned from launch to completion, so the views cannot move, and
-// dataflow dependencies plus the partition mutexes order cross-device reads
-// of the same tile.
-func (t *Task) JobDoneLocal(start, end sim.Time) {
-	if t.bufs != nil {
-		t.kern.Body(t.bufs)
-		t.bodyDone = true
-	}
-}
 
 func (s taskState) str() string {
 	switch s {
