@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check kernel-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -79,11 +79,20 @@ batch-check:
 	$(GO) test -count=1 -run 'TestBatchedRequestKindServed' ./internal/serve/
 	$(GO) test -count=1 -run 'TestFlagProblem|TestBatch' ./cmd/xkbench/
 
+# Host-kernel gate: the GEMM/SYRK/SYR2K/TRSM kernels are bit-identical to
+# the reference loops in internal/hostblas/ref_test.go (the full flag and
+# shape sweep, then the committed fuzz seed corpus replayed offline), they
+# allocate nothing per call, and the column-partitioned parallel GEMM is
+# race-free and bit-identical at every worker count.
+kernel-check:
+	$(GO) test -count=1 -run 'TestKernelsBitIdenticalToReference|FuzzGemmMatchesReference|FuzzTrsmMatchesReference|TestKernelsAllocationFree' ./internal/hostblas/
+	$(GO) test -race -count=1 -run 'TestGemmParallel' ./internal/hostblas/
+
 # Default verification gate: build, vet, formatting, tests, stress, race,
 # the steady-state allocation budget, the golden quick-sweep byte-diff (run
-# once), the fabric-graph parity gate, the serving-path gate and the
-# batched-dispatch gate.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check
+# once), the fabric-graph parity gate, the serving-path gate, the
+# batched-dispatch gate and the host-kernel gate.
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check kernel-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:

@@ -1,6 +1,7 @@
 package hostblas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,64 @@ func TestGemmBetaZeroIgnoresC(t *testing.T) {
 	want := naiveMul(a, b)
 	if d := matrix.MaxAbsDiff(c, want); d > tol {
 		t.Fatalf("beta=0 should ignore prior C, diff %g", d)
+	}
+}
+
+// TestSyrkSyr2kBetaZeroIgnoresC is TestGemmBetaZeroIgnoresC for the
+// triangle-updating routines: with beta = 0, netlib does not read C, so a
+// NaN in C's stored triangle must be overwritten, not propagated.
+func TestSyrkSyr2kBetaZeroIgnoresC(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, uplo := range []Uplo{Lower, Upper} {
+		a, b := randView(rng, 5, 3), randView(rng, 5, 3)
+		oa := densifyOp(NoTrans, a)
+		ob := densifyOp(NoTrans, b)
+		syrk := naiveMul(oa, densifyOp(Transpose, oa))
+		syr2k := axpyScale(1, naiveMul(oa, densifyOp(Transpose, ob)), 1, naiveMul(ob, densifyOp(Transpose, oa)))
+		for name, run := range map[string]func(c matrix.View) matrix.View{
+			"syrk":  func(c matrix.View) matrix.View { Syrk(uplo, NoTrans, 1, a, 0, c); return syrk },
+			"syr2k": func(c matrix.View) matrix.View { Syr2k(uplo, NoTrans, 1, a, b, 0, c); return syr2k },
+		} {
+			c := matrix.New(5, 5)
+			for i := range c.Data {
+				c.Data[i] = math.NaN() // must be overwritten, not scaled
+			}
+			want := run(c)
+			for j := 0; j < 5; j++ {
+				lo, hi := triRange(uplo, j, 5)
+				for i := lo; i < hi; i++ {
+					if d := math.Abs(c.At(i, j) - want.At(i, j)); !(d <= tol) {
+						t.Fatalf("%s(%c) beta=0: C[%d,%d] = %v, want %v", name, uplo, i, j, c.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTrmmTrsmAlphaZero: with alpha = 0, netlib sets B = 0 without reading
+// A or B, so NaNs in either must not reach the result.
+func TestTrmmTrsmAlphaZero(t *testing.T) {
+	for _, side := range []Side{Left, Right} {
+		for _, uplo := range []Uplo{Lower, Upper} {
+			for _, ta := range []Trans{NoTrans, Transpose} {
+				for name, run := range map[string]func(a, b matrix.View){
+					"trmm": func(a, b matrix.View) { Trmm(side, uplo, ta, NonUnit, 0, a, b) },
+					"trsm": func(a, b matrix.View) { Trsm(side, uplo, ta, NonUnit, 0, a, b) },
+				} {
+					a, b := matrix.New(4, 4), matrix.New(4, 4)
+					for i := range a.Data {
+						a.Data[i], b.Data[i] = math.NaN(), math.Inf(1)
+					}
+					run(a, b)
+					for i, x := range b.Data {
+						if math.Float64bits(x) != 0 {
+							t.Fatalf("%s(%c,%c,%c) alpha=0: B element %d = %v, want +0", name, side, uplo, ta, i, x)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
