@@ -33,6 +33,9 @@
 //	xkbench -exp batch -quick
 //	xkbench -exp batch -batch-count 64 -batch-n 256
 //
+//	# Host profiles of the run itself, for go tool pprof.
+//	xkbench -exp fig3 -quick -cpuprofile cpu.out -memprofile mem.out
+//
 // Paper experiments: table1, fig2, fig3, table2, fig4, fig5, fig6, fig7,
 // fig8, fig9. Extensions: scale, summit, hermitian, pinning, factor, serve,
 // batch.
@@ -101,6 +104,8 @@ func main() {
 		"batch experiment: pin the batch size (instances per request) instead of sweeping the default grid (0 = sweep)")
 	batchN := flag.Int("batch-n", 0,
 		"batch experiment: pin the square instance dimension instead of sweeping the default grid (0 = sweep)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file when it ends (go tool pprof)")
 	flag.Parse()
 
 	if msg := flagProblem(*window, *parallel, *batchCount, *batchN); msg != "" {
@@ -117,6 +122,22 @@ func main() {
 		}
 		bench.DefaultPlatform = plat
 	}
+	prof, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xkbench: profile: %v\n", err)
+		os.Exit(2)
+	}
+	// exit flushes the profiles before leaving: os.Exit skips deferred
+	// calls, and every exit from here on must still write them.
+	exit := func(code int) {
+		if err := prof.stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "xkbench: profile: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		os.Exit(code)
+	}
 	bench.ForceStreamWindow = *window
 	bench.ForceStreamWhole = *streamWhole
 	bench.DefaultParallelism = *parallel
@@ -128,7 +149,7 @@ func main() {
 		srv, err := serveMetrics(*serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xkbench: -serve %s: %v\n", *serve, err)
-			os.Exit(2)
+			exit(2)
 		}
 		liveSrv = srv
 	}
@@ -199,7 +220,7 @@ func main() {
 			pts, err := customSweep(w, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				exit(2)
 			}
 			points = append(points, pts...)
 		case "batch":
@@ -209,7 +230,7 @@ func main() {
 				*tenants, *requests, *qdepth, *parallel, *rate, *seed, *quick, *checkFlag, ctx)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				exit(2)
 			}
 			rep, err := serveRun(w, cfg, *serveJSON)
 			if err != nil {
@@ -221,7 +242,7 @@ func main() {
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			flag.Usage()
-			os.Exit(2)
+			exit(2)
 		}
 		fmt.Fprintln(w)
 	}
@@ -240,7 +261,7 @@ func main() {
 		fmt.Fprintln(w)
 		if err := bench.PlotSweep(w, points, 90, 18); err != nil {
 			fmt.Fprintf(os.Stderr, "plot: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -249,7 +270,7 @@ func main() {
 		fmt.Fprintln(w, "Policy decision counters (best tile, first measured run):")
 		if err := bench.WriteDecisions(w, points); err != nil {
 			fmt.Fprintf(os.Stderr, "decisions: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -258,21 +279,21 @@ func main() {
 		fmt.Fprintln(w, "Resource utilization (best tile, first measured run):")
 		if err := bench.WriteMetricsTable(w, points); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
 	if *csvPath != "" {
 		if err := writeCSVFile(*csvPath, points); err != nil {
 			fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(w, "wrote %d points to %s\n", len(points), *csvPath)
 		if *metricsFlag {
 			mp := metricsPath(*csvPath)
 			if err := writeMetricsJSONFile(mp, points); err != nil {
 				fmt.Fprintf(os.Stderr, "metrics json: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprintf(w, "wrote metrics snapshots to %s\n", mp)
 		}
@@ -289,18 +310,19 @@ func main() {
 		drains, violations := check.Stats()
 		fmt.Fprintf(w, "coherence audit: %d clean drains, %d violations\n", drains, violations)
 		if violations > 0 {
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
 		// All sinks above have been flushed with the completed prefix.
 		fmt.Fprintf(os.Stderr, "xkbench: run aborted: %v\n", err)
-		os.Exit(1)
+		exit(1)
 	}
 	if exitErr {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 // flagProblem validates the concurrency/window/batch flags, returning a

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -368,6 +369,44 @@ func TestFlagProblemRejectsBadConcurrency(t *testing.T) {
 		if !strings.Contains(msg, tc.bad) {
 			t.Errorf("flagProblem(%d,%d,%d,%d) = %q, want mention of %s",
 				tc.window, tc.parallel, tc.batchCount, tc.batchN, msg, tc.bad)
+		}
+	}
+}
+
+// TestMain lets a test run the command itself: with XKBENCH_ARGS set, the
+// test binary is xkbench, run with those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("XKBENCH_ARGS"); ok {
+		os.Args = append([]string{"xkbench"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestProfileFlagsWriteProfiles runs a quick one-experiment sweep with
+// -cpuprofile and -memprofile and requires both profiles to be written and
+// non-empty after the command exits.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "XKBENCH_ARGS=-exp sweep -libs XKBlas -routines GEMM -sizes 8192 -tiles 2048 -runs 1 -parallel 1"+
+		" -cpuprofile "+cpu+" -memprofile "+mem)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("xkbench failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "GEMM") {
+		t.Fatalf("sweep printed no GEMM point:\n%s", out)
+	}
+	for _, p := range []string{cpu, mem} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", filepath.Base(p))
 		}
 	}
 }

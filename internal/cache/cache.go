@@ -206,6 +206,12 @@ type Tile struct {
 	M, N  int
 	Bytes int64
 
+	// Seq is the tile's registration ordinal since the last Reset: unique
+	// among live tiles and dense from 0, so per-tile tables elsewhere (the
+	// runtime's dependency tracking) are slices indexed by Seq rather than
+	// maps keyed by TileKey.
+	Seq int
+
 	// Host is the authoritative LAPACK-layout sub-view in host memory
 	// (nil data in timing mode).
 	Host matrix.View
@@ -495,6 +501,7 @@ func (c *Cache) NewTile(key TileKey, host matrix.View) *Tile {
 		t = c.freshTile()
 	}
 	t.Key, t.M, t.N, t.Bytes, t.Host = key, host.M, host.N, host.Bytes(), host
+	t.Seq = len(c.allTiles)
 	t.Owner = -1
 	t.hostValid = true
 	t.flushing = false
@@ -524,20 +531,40 @@ func (t *Tile) DirtyOn() topology.DeviceID {
 // ValidGPUs lists devices holding valid replicas in ascending id order.
 func (t *Tile) ValidGPUs() []topology.DeviceID { return maskDevices(t.validMask) }
 
+// AppendValidGPUs appends the devices holding valid replicas to buf in
+// ascending id order and returns the extended slice; a caller reusing a
+// buffer of topology.MaxGPUs capacity lists them without allocating.
+func (t *Tile) AppendValidGPUs(buf []topology.DeviceID) []topology.DeviceID {
+	return appendMask(buf, t.validMask)
+}
+
+// FirstValidGPU reports the lowest device holding a valid replica, or -1.
+func (t *Tile) FirstValidGPU() topology.DeviceID {
+	if t.validMask == 0 {
+		return -1
+	}
+	return topology.DeviceID(bits.TrailingZeros64(t.validMask))
+}
+
 // InflightDsts lists devices with a replica under transfer, ascending.
 func (t *Tile) InflightDsts() []topology.DeviceID { return maskDevices(t.inflightMask) }
 
-// maskDevices lists the devices whose bits are set in m, ascending; nil
-// for an empty mask.
+// maskDevices lists the devices whose bits are set in m, ascending, in a
+// fresh exactly-sized slice; nil for an empty mask.
 func maskDevices(m uint64) []topology.DeviceID {
 	if m == 0 {
 		return nil
 	}
-	out := make([]topology.DeviceID, 0, bits.OnesCount64(m))
+	return appendMask(make([]topology.DeviceID, 0, bits.OnesCount64(m)), m)
+}
+
+// appendMask appends the devices whose bits are set in m to buf,
+// ascending.
+func appendMask(buf []topology.DeviceID, m uint64) []topology.DeviceID {
 	for ; m != 0; m &= m - 1 {
-		out = append(out, topology.DeviceID(bits.TrailingZeros64(m)))
+		buf = append(buf, topology.DeviceID(bits.TrailingZeros64(m)))
 	}
-	return out
+	return buf
 }
 
 // InflightTo reports whether a transfer to dev is in progress.

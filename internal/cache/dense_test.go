@@ -9,8 +9,9 @@ import (
 )
 
 // TestReplicaQueriesAllocationFree pins the cost of the hot replica
-// queries: the mask reads allocate nothing, and the device lists allocate
-// at most their one result slice.
+// queries: the mask reads and the append form into a reused buffer
+// allocate nothing, and the device lists allocate at most their one result
+// slice.
 func TestReplicaQueriesAllocationFree(t *testing.T) {
 	_, c := newTestCache(false)
 	tl := c.NewTile(TileKey{Mat: c.NewMatrixID()}, matrix.NewShape(64, 64))
@@ -24,6 +25,7 @@ func TestReplicaQueriesAllocationFree(t *testing.T) {
 	}
 	c.MarkInflight(tl, 7)
 	var sink int
+	buf := make([]topology.DeviceID, 0, topology.MaxGPUs)
 	for _, q := range []struct {
 		name string
 		max  float64
@@ -40,6 +42,8 @@ func TestReplicaQueriesAllocationFree(t *testing.T) {
 			}
 		}},
 		{"DirtyOn", 0, func() { sink += int(tl.DirtyOn()) }},
+		{"FirstValidGPU", 0, func() { sink += int(tl.FirstValidGPU()) }},
+		{"AppendValidGPUs", 0, func() { sink += len(tl.AppendValidGPUs(buf[:0])) }},
 		{"ValidGPUs", 1, func() { sink += len(tl.ValidGPUs()) }},
 		{"InflightDsts", 1, func() { sink += len(tl.InflightDsts()) }},
 	} {
@@ -49,6 +53,12 @@ func TestReplicaQueriesAllocationFree(t *testing.T) {
 	}
 	if got := tl.ValidGPUs(); fmt.Sprint(got) != "[1 3 4 6]" {
 		t.Fatalf("ValidGPUs = %v", got)
+	}
+	if got := tl.AppendValidGPUs(buf[:0]); fmt.Sprint(got) != "[1 3 4 6]" {
+		t.Fatalf("AppendValidGPUs = %v", got)
+	}
+	if got := tl.FirstValidGPU(); got != 1 {
+		t.Fatalf("FirstValidGPU = %d, want 1", got)
 	}
 	if got := tl.InflightDsts(); fmt.Sprint(got) != "[5 7]" {
 		t.Fatalf("InflightDsts = %v", got)

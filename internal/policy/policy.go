@@ -231,8 +231,12 @@ func (d Decisions) String() string {
 // devices hold a valid copy, where the host copy stands, and which
 // transfers are in flight. *cache.Tile implements it.
 type TileView interface {
-	// ValidGPUs lists devices holding valid replicas in ascending id order.
-	ValidGPUs() []topology.DeviceID
+	// AppendValidGPUs appends the devices holding valid replicas to buf
+	// in ascending id order and returns the extended slice.
+	AppendValidGPUs(buf []topology.DeviceID) []topology.DeviceID
+	// FirstValidGPU reports the lowest device holding a valid replica, or
+	// -1 when none does.
+	FirstValidGPU() topology.DeviceID
 	// HostValid reports whether the host copy is current.
 	HostValid() bool
 	// DirtyOn reports the device holding the sole modified replica, or -1.

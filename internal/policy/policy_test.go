@@ -19,7 +19,17 @@ type fakeTile struct {
 
 func newFakeTile() *fakeTile { return &fakeTile{dirty: -1, owner: -1} }
 
-func (t *fakeTile) ValidGPUs() []topology.DeviceID    { return t.valid }
+func (t *fakeTile) AppendValidGPUs(buf []topology.DeviceID) []topology.DeviceID {
+	return append(buf, t.valid...)
+}
+
+func (t *fakeTile) FirstValidGPU() topology.DeviceID {
+	if len(t.valid) == 0 {
+		return -1
+	}
+	return t.valid[0]
+}
+
 func (t *fakeTile) HostValid() bool                   { return t.host }
 func (t *fakeTile) DirtyOn() topology.DeviceID        { return t.dirty }
 func (t *fakeTile) InflightDsts() []topology.DeviceID { return t.inflight }

@@ -181,8 +181,8 @@ func (DMDAS) Assign(t SchedTask, s SchedState) topology.DeviceID {
 				continue
 			}
 			src := topology.Host
-			if gs := tile.ValidGPUs(); len(gs) > 0 {
-				src = gs[0]
+			if g := tile.FirstValidGPU(); g >= 0 {
+				src = g
 			} else if !tile.HostValid() {
 				src = tile.DirtyOn()
 			}

@@ -13,7 +13,8 @@ type SourceSelector interface {
 	Name() string
 
 	// PickPeer chooses the transfer source among the devices holding a
-	// valid replica (cands is non-empty, ascending). ok=false rejects
+	// valid replica (cands is non-empty, ascending, and scratch of the
+	// caller: PickPeer may overwrite it). ok=false rejects
 	// every peer and falls through to the host-read path — how host-only
 	// (cuBLAS-XT, SLATE) and filtered (BLASX same-switch) policies are
 	// expressed.
@@ -40,7 +41,15 @@ type SourceSelector interface {
 // on", not a valid holder. ok=false means the tile has no copy anywhere —
 // a runtime invariant violation the caller should panic on.
 func SelectSource(sel SourceSelector, topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters) (src topology.DeviceID, chained, ok bool) {
-	if cands := tile.ValidGPUs(); len(cands) > 0 {
+	return SelectSourceInto(sel, topo, tile, dst, c, nil)
+}
+
+// SelectSourceInto is SelectSource building the candidate list in the
+// caller-owned scratch slice (its contents are overwritten). A caller that
+// reuses one buffer of topology.MaxGPUs capacity selects sources without
+// allocating.
+func SelectSourceInto(sel SourceSelector, topo *topology.Platform, tile TileView, dst topology.DeviceID, c *Counters, scratch []topology.DeviceID) (src topology.DeviceID, chained, ok bool) {
+	if cands := tile.AppendValidGPUs(scratch[:0]); len(cands) > 0 {
 		if src, ok := sel.PickPeer(topo, cands, dst); ok {
 			return src, false, true
 		}
@@ -155,7 +164,7 @@ func (s SameSwitch) Name() string { return "same-switch(" + s.Base.Name() + ")" 
 
 // PickPeer implements SourceSelector.
 func (s SameSwitch) PickPeer(topo *topology.Platform, cands []topology.DeviceID, dst topology.DeviceID) (topology.DeviceID, bool) {
-	var local []topology.DeviceID
+	local := cands[:0] // in-place filter: cands is the caller's scratch
 	for _, c := range cands {
 		if topo.SameSwitch(c, dst) {
 			local = append(local, c)

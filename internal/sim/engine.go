@@ -68,6 +68,9 @@ type Engine struct {
 	fired   uint64
 	running bool
 
+	// xferFree recycles the join records of multi-hop Transfers.
+	xferFree []*xfer
+
 	// stop is the abort flag. It is the engine's single cross-goroutine
 	// entry point: a watchdog may set it while Run executes on another
 	// goroutine, so it is atomic where every other field is confined to the

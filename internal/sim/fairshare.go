@@ -86,6 +86,15 @@ func (s *FairServer) Submit(size float64, overhead Time, done func(start, end Ti
 	s.reschedule()
 }
 
+// SubmitJob implements Resource by forwarding jd.JobDone to Submit.
+func (s *FairServer) SubmitJob(size float64, overhead Time, jd JobDone) {
+	if jd == nil {
+		s.Submit(size, overhead, nil)
+		return
+	}
+	s.Submit(size, overhead, jd.JobDone)
+}
+
 // finishEps reports the residual-work threshold below which a job is
 // considered complete: one picosecond of service. The threshold must be
 // relative to the rate — with byte rates around 1e10, an absolute epsilon

@@ -10,6 +10,9 @@ type Resource interface {
 	Name() string
 	Rate() float64
 	Submit(size float64, overhead Time, done func(start, end Time))
+	// SubmitJob is Submit with the completion delivered to jd (may be
+	// nil) instead of a closure.
+	SubmitJob(size float64, overhead Time, jd JobDone)
 	// ServiceTime reports how long a job would take unloaded.
 	ServiceTime(size float64, overhead Time) Time
 	// AvailableAt reports the earliest instant a new job could start
@@ -202,30 +205,61 @@ func (s *Server) Reset() {
 }
 
 // Transfer occupies every server in path with the same job and fires done
-// once all of them have finished. It models a transfer that crosses several
-// shared resources (e.g. source PCIe switch, QPI, destination PCIe switch):
-// each hop queues independently and the payload is delivered at the latest
-// completion. The reported start is the earliest service start and the end
-// the latest service end.
+// (may be nil) once all of them have finished. It models a transfer that
+// crosses several shared resources (e.g. source PCIe switch, QPI,
+// destination PCIe switch): each hop queues independently and the payload
+// is delivered at the latest completion. The reported start is the
+// earliest service start and the end the latest service end.
+//
+// The hops report to one join record from the engine's pool, so a
+// transfer over FIFO servers allocates nothing once the pools are warm.
 func Transfer(eng *Engine, path []Resource, size float64, overhead Time, done func(start, end Time)) {
 	if len(path) == 0 {
 		panic("sim: Transfer over empty path")
 	}
-	remaining := len(path)
-	first := Infinity
-	var last Time
+	var x *xfer
+	if n := len(eng.xferFree); n > 0 {
+		x = eng.xferFree[n-1]
+		eng.xferFree[n-1] = nil
+		eng.xferFree = eng.xferFree[:n-1]
+	} else {
+		x = &xfer{eng: eng}
+	}
+	x.remaining, x.first, x.last, x.done = len(path), Infinity, 0, done
 	for _, srv := range path {
-		srv.Submit(size, overhead, func(st, en Time) {
-			if st < first {
-				first = st
-			}
-			if en > last {
-				last = en
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(first, last)
-			}
-		})
+		srv.SubmitJob(size, overhead, x)
+	}
+}
+
+// xfer is the join record of one Transfer: every hop's completion lands in
+// JobDone, and the last one fires done. A record whose hops never all
+// complete (dropped by Engine.Reset or an aborted run) is simply never
+// returned to the pool.
+type xfer struct {
+	eng         *Engine
+	remaining   int
+	first, last Time
+	done        func(start, end Time)
+}
+
+// JobDone implements JobDone: fold in one hop, and after the last one
+// return the record to the pool before notifying, so done may start the
+// next transfer on it.
+func (x *xfer) JobDone(st, en Time) {
+	if st < x.first {
+		x.first = st
+	}
+	if en > x.last {
+		x.last = en
+	}
+	x.remaining--
+	if x.remaining > 0 {
+		return
+	}
+	done, first, last := x.done, x.first, x.last
+	x.done = nil
+	x.eng.xferFree = append(x.eng.xferFree, x)
+	if done != nil {
+		done(first, last)
 	}
 }

@@ -11,10 +11,11 @@ import (
 // bench-alloc`: on a warmed runtime one full submit→run→retire wave of 64
 // tasks must stay within a fixed allocation budget. The steady-state task
 // path runs entirely on arenas — task records, access slices, dependency
-// scratch, ready queues, engine events, kernel-completion records — so the
-// only allocations left are the transfer-path closures and the barrier
-// condition (measured ~18/wave; budget 32 leaves headroom without letting
-// a per-task allocation regress in: 64 tasks would blow straight past it).
+// scratch, dependency table, ready queues, engine events, kernel-completion
+// and transfer-join records — so the only allocations left are the
+// per-fetch staging closures and the barrier condition (measured 6/wave;
+// budget 16 leaves headroom without letting a per-task allocation regress
+// in: 64 tasks would blow straight past it).
 func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 	rig := newBenchRig()
 	rig.submitWave()
@@ -26,7 +27,7 @@ func TestSubmitSteadyStateAllocBudget(t *testing.T) {
 	if err := rig.rt.Err(); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 32
+	const budget = 16
 	if allocs > budget {
 		t.Fatalf("steady-state wave allocates %.1f objects (budget %d, 64 tasks/wave): the task arena is leaking allocations", allocs, budget)
 	}

@@ -3,6 +3,7 @@ package xkrt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"xkblas/internal/cache"
@@ -186,17 +187,24 @@ type Runtime struct {
 	Opt   Options
 	Obs   Observer
 
-	nextID     int
-	lastWriter map[cache.TileKey]*Task
-	readers    map[cache.TileKey][]*Task
+	nextID int
+
+	// deps is the dependency table, indexed by cache.Tile.Seq: the last
+	// writer of each tile and the readers submitted since. It grows on
+	// first touch of a tile; Reset clears the entries but keeps each
+	// reader list's capacity, so a reused runtime rewires without
+	// allocating.
+	deps []tileDeps
 
 	// Task arena: completed tasks recycle through taskFree (with their
-	// inline access storage and successor-slice capacity), and depScratch
-	// is wire's reusable dependency-dedup scratch, so steady-state
-	// submission performs no heap allocation. tasksLiveMax is the arena's
-	// high-water mark of live (admitted, not completed) tasks.
+	// inline access storage and successor-slice capacity), depScratch is
+	// wire's reusable dependency-dedup scratch and srcScratch the source
+	// selector's candidate list, so steady-state submission performs no
+	// heap allocation. tasksLiveMax is the arena's high-water mark of live
+	// (admitted, not completed) tasks.
 	taskFree     []*Task
 	depScratch   []*Task
+	srcScratch   []topology.DeviceID
 	tasksLiveMax int
 
 	// Streaming admission state (Options.StreamWindow): live counts
@@ -285,8 +293,7 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		Cache:      cache.New(plat, functional),
 		Opt:        opt,
 		pol:        opt.bundle(),
-		lastWriter: make(map[cache.TileKey]*Task),
-		readers:    make(map[cache.TileKey][]*Task),
+		srcScratch: make([]topology.DeviceID, 0, n),
 		queues:     make([]taskQueue, n),
 		window:     make([]int, n),
 		estLoad:    make([]sim.Time, n),
@@ -313,8 +320,12 @@ func (rt *Runtime) Reset() {
 	rt.Cache.Reset()
 	rt.Cache.Evictor = rt.pol.Evictor
 	rt.nextID = 0
-	clear(rt.lastWriter)
-	clear(rt.readers)
+	for i := range rt.deps {
+		d := &rt.deps[i]
+		d.writer = nil
+		clear(d.readers)
+		d.readers = d.readers[:0]
+	}
 	for d := range rt.queues {
 		rt.queues[d].clear()
 		rt.window[d] = 0
@@ -666,6 +677,24 @@ func (rt *Runtime) tryAdmit() {
 	}
 }
 
+// tileDeps is one tile's dependency-table entry: the last task that wrote
+// it and every task that read it since.
+type tileDeps struct {
+	writer  *Task
+	readers []*Task
+}
+
+// depsOf returns the table entry of tile, growing the table on first
+// touch. Seq is dense from 0 across the live tiles, so the table stays
+// bounded by the tile count. The table never shrinks (Reset clears entries
+// in place), so the capacity past its length is still zero-valued.
+func (rt *Runtime) depsOf(tile *cache.Tile) *tileDeps {
+	if n := tile.Seq + 1; n > len(rt.deps) {
+		rt.deps = slices.Grow(rt.deps, n-len(rt.deps))[:n]
+	}
+	return &rt.deps[tile.Seq]
+}
+
 // wire links the task's dependencies into the tables. The dedup scratch is
 // reused across calls: a task's dependency fan-in is tiny (bounded by its
 // access count plus readers), so a linear scan beats a map and allocates
@@ -688,29 +717,25 @@ func (rt *Runtime) wire(t *Task) {
 		t.preds++
 	}
 	for _, a := range t.acc {
-		k := a.Tile.Key
-		if a.Mode.reads() {
-			addDep(rt.lastWriter[k])
-		}
+		// Every mode reads or writes, and both depend on the last writer;
+		// a write also depends on every reader since.
+		d := rt.depsOf(a.Tile)
+		addDep(d.writer)
 		if a.Mode.writes() {
-			addDep(rt.lastWriter[k])
-			for _, r := range rt.readers[k] {
+			for _, r := range d.readers {
 				addDep(r)
 			}
 		}
 	}
 	// Update the tables after scanning all accesses.
 	for _, a := range t.acc {
-		k := a.Tile.Key
+		d := &rt.deps[a.Tile.Seq]
 		if a.Mode.writes() {
-			rt.lastWriter[k] = t
-			rs := rt.readers[k]
-			for i := range rs {
-				rs[i] = nil
-			}
-			rt.readers[k] = rs[:0]
+			d.writer = t
+			clear(d.readers)
+			d.readers = d.readers[:0]
 		} else {
-			rt.readers[k] = append(rt.readers[k], t)
+			d.readers = append(d.readers, t)
 		}
 	}
 	for i := range deps {
@@ -726,20 +751,15 @@ func (rt *Runtime) wire(t *Task) {
 // instead of growing with the whole run.
 func (rt *Runtime) pruneTables(t *Task) {
 	for _, a := range t.acc {
-		k := a.Tile.Key
+		d := &rt.deps[a.Tile.Seq]
 		if a.Mode.writes() {
-			if rt.lastWriter[k] == t {
-				delete(rt.lastWriter, k)
+			if d.writer == t {
+				d.writer = nil
 			}
-		} else if rs := rt.readers[k]; len(rs) > 0 {
-			for i, r := range rs {
-				if r == t {
-					copy(rs[i:], rs[i+1:])
-					rs[len(rs)-1] = nil
-					rt.readers[k] = rs[:len(rs)-1]
-					break
-				}
-			}
+			continue
+		}
+		if i := slices.Index(d.readers, t); i >= 0 {
+			d.readers = slices.Delete(d.readers, i, i+1)
 		}
 	}
 }
