@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check kernel-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check kernel-check perfbench-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -88,11 +88,18 @@ kernel-check:
 	$(GO) test -count=1 -run 'TestKernelsBitIdenticalToReference|FuzzGemmMatchesReference|FuzzTrsmMatchesReference|TestKernelsAllocationFree' ./internal/hostblas/
 	$(GO) test -race -count=1 -run 'TestGemmParallel' ./internal/hostblas/
 
+# Frozen-benchmark compile gate: perfbench/ is its own module, so the root
+# build, vet and test never see it. Vet and test it here so a change to an
+# API it imports fails before the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Default verification gate: build, vet, formatting, tests, stress, race,
 # the steady-state allocation budget, the golden quick-sweep byte-diff (run
 # once), the fabric-graph parity gate, the serving-path gate, the
-# batched-dispatch gate and the host-kernel gate.
-check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check kernel-check
+# batched-dispatch gate, the host-kernel gate and the frozen-benchmark
+# compile gate.
+check: build vet fmtcheck test stress race race-cancel metrics-race bench-alloc golden-check topo-check serve-check batch-check kernel-check perfbench-check
 
 # One testing.B benchmark per paper table/figure plus the ablations.
 bench:

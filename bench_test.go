@@ -10,12 +10,14 @@ package xkblas_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/bench"
 	"xkblas/internal/blasops"
 	"xkblas/internal/device"
+	"xkblas/internal/policy"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
 )
@@ -40,7 +42,7 @@ func runLib(b *testing.B, lib baseline.Library, req baseline.Request) {
 // BenchmarkFig2BandwidthMatrix regenerates the pairwise bandwidth matrix.
 func BenchmarkFig2BandwidthMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig2BandwidthMatrix(io.Discard)
+		bench.Env{}.Fig2BandwidthMatrix(io.Discard)
 	}
 }
 
@@ -105,14 +107,14 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6TraceGEMM regenerates the GEMM trace breakdown.
 func BenchmarkFig6TraceGEMM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig6(io.Discard, true)
+		bench.Env{}.Fig6(io.Discard, true)
 	}
 }
 
 // BenchmarkFig7TraceSYR2K regenerates the per-GPU SYR2K traces.
 func BenchmarkFig7TraceSYR2K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig7(io.Discard, true)
+		bench.Env{}.Fig7(io.Discard, true)
 	}
 }
 
@@ -137,14 +139,14 @@ func BenchmarkFig8Composition(b *testing.B) {
 // BenchmarkFig9Gantt renders the composition Gantt charts.
 func BenchmarkFig9Gantt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Fig9(io.Discard, true)
+		bench.Env{}.Fig9(io.Discard, true)
 	}
 }
 
 // xkblasWith builds an XKBlas variant with modified runtime options for the
 // ablation benches.
 func xkblasWith(name string, mod func(*xkrt.Options)) baseline.Library {
-	opts := xkrt.Options{TopoAware: true, Optimistic: true, Window: 4, Scheduler: xkrt.WorkStealing}
+	opts := xkrt.DefaultOptions()
 	mod(&opts)
 	return &baseline.StdLib{LibName: name, Routines: blasops.All(), Opts: opts}
 }
@@ -157,7 +159,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 			runLib(b, baseline.XKBlas(), baseline.Request{Routine: r, N: benchN, NB: benchNB})
 		})
 		b.Run(r.String()+"/dmdas", func(b *testing.B) {
-			lib := xkblasWith("XKBlas-dmdas", func(o *xkrt.Options) { o.Scheduler = xkrt.DMDAS })
+			lib := xkblasWith("XKBlas-dmdas", func(o *xkrt.Options) { o.Policy.Scheduler = policy.DMDAS{} })
 			runLib(b, lib, baseline.Request{Routine: r, N: benchN, NB: benchNB})
 		})
 	}
@@ -180,16 +182,18 @@ func BenchmarkAblationWindow(b *testing.B) {
 func BenchmarkAblationSourcePolicy(b *testing.B) {
 	cases := []struct {
 		name string
-		pol  xkrt.SourcePolicy
+		base policy.SourceSelector
 	}{
-		{"any-peer", xkrt.SourceAny},
-		{"same-switch", xkrt.SourceSameSwitch},
-		{"host-only", xkrt.SourceHostOnly},
+		{"any-peer", policy.TopoRank{}},
+		{"same-switch", policy.SameSwitch{Base: policy.TopoRank{}}},
+		{"host-only", policy.HostOnly{}},
 	}
 	for _, c := range cases {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
-			lib := xkblasWith("XKBlas-"+c.name, func(o *xkrt.Options) { o.Sources = c.pol })
+			lib := xkblasWith("XKBlas-"+c.name, func(o *xkrt.Options) {
+				o.Policy.Source = policy.Optimistic{Base: c.base, Ranked: true}
+			})
 			runLib(b, lib, baseline.Request{Routine: blasops.Gemm, N: benchN, NB: benchNB})
 		})
 	}
@@ -199,7 +203,7 @@ func BenchmarkAblationSourcePolicy(b *testing.B) {
 // "9 standard BLAS subroutines" (§IV-D).
 func BenchmarkExtensionHermitian(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Hermitian(io.Discard, true)
+		bench.Env{}.Hermitian(io.Discard, true)
 	}
 }
 
@@ -207,14 +211,14 @@ func BenchmarkExtensionHermitian(b *testing.B) {
 // fork-join composition benefit.
 func BenchmarkExtensionFactorizations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Factorizations(io.Discard, true)
+		bench.Env{}.Factorizations(io.Discard, true)
 	}
 }
 
 // BenchmarkExtensionPinning measures the §IV-A pinning-cost note.
 func BenchmarkExtensionPinning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.PinningCost(io.Discard, true)
+		bench.Env{}.PinningCost(io.Discard, true)
 	}
 }
 
@@ -222,7 +226,7 @@ func BenchmarkExtensionPinning(b *testing.B) {
 // GPUs.
 func BenchmarkExtensionScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Scalability(io.Discard, true)
+		bench.Env{Parallel: runtime.NumCPU()}.Scalability(io.Discard, true)
 	}
 }
 

@@ -88,8 +88,6 @@ func main() {
 		"listen address (e.g. :9090) for a live Prometheus /metrics endpoint aggregating all runs, plus net/http/pprof under /debug/pprof/; implies -metrics")
 	window := flag.Int("window", 0,
 		"stream every run's task DAG through a bounded admission window of this many live tasks instead of materializing it whole (0 = whole graph); results are bit-identical at any window mode, only peak memory changes")
-	streamWhole := flag.Bool("stream-whole", false,
-		"with -window, materialize the whole DAG up front and apply the window during execution — the reference mode streamed runs are parity-tested against")
 	tenants := flag.Int("tenants", 120, "serve experiment: simulated tenant count")
 	requests := flag.Int("requests", 1200, "serve experiment: request count to replay (-quick runs 300)")
 	arrivalFlag := flag.String("arrival", "bursty", "serve experiment: arrival process, poisson or bursty (two-state MMPP)")
@@ -113,6 +111,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// env is the one run-wide configuration every experiment receives.
+	env := bench.Env{
+		Parallel:     *parallel,
+		Check:        *checkFlag,
+		StreamWindow: *window,
+	}
 	if *platformFlag != "" {
 		plat, ok := topology.Lookup(*platformFlag)
 		if !ok {
@@ -120,7 +124,7 @@ func main() {
 				*platformFlag, strings.Join(topology.Names(), ", "))
 			os.Exit(2)
 		}
-		bench.DefaultPlatform = plat
+		env.Platform = plat
 	}
 	prof, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -138,14 +142,10 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	bench.ForceStreamWindow = *window
-	bench.ForceStreamWhole = *streamWhole
-	bench.DefaultParallelism = *parallel
-	bench.CheckRuns = *checkFlag
 	var liveSrv *metrics.LiveServer
 	if *serve != "" {
 		*metricsFlag = true
-		bench.GlobalMetrics = metrics.Default()
+		env.Sink = metrics.Default()
 		srv, err := serveMetrics(*serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xkbench: -serve %s: %v\n", *serve, err)
@@ -153,11 +153,11 @@ func main() {
 		}
 		liveSrv = srv
 	}
-	bench.MetricsEnabled = *metricsFlag
+	env.Metrics = *metricsFlag
 
-	// Deadline and SIGINT share one context; bench.SweepContext hands it to
-	// every experiment driver. Without -timeout and without a signal the
-	// context never fires and the run is bit-identical to an unbounded one.
+	// Deadline and SIGINT share one context; env.Ctx hands it to every
+	// experiment driver. Without -timeout and without a signal the context
+	// never fires and the run is bit-identical to an unbounded one.
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})
 	if *timeout > 0 {
@@ -166,7 +166,7 @@ func main() {
 	defer cancel()
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt)
 	defer stopSignals()
-	bench.SweepContext = ctx
+	env.Ctx = ctx
 	if liveSrv != nil {
 		// The -serve listener lives exactly as long as the run: a SIGINT or
 		// -timeout abort closes it while the sinks flush (it used to leak
@@ -181,53 +181,53 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "table1":
-			bench.TableI(w)
+			env.TableI(w)
 		case "fig2":
-			bench.Fig2BandwidthMatrix(w)
+			env.Fig2BandwidthMatrix(w)
 		case "fig3":
-			points = append(points, bench.Fig3(w, *quick)...)
+			points = append(points, env.Fig3(w, *quick)...)
 		case "table2":
-			bench.TableII(w, *quick)
+			env.TableII(w, *quick)
 		case "fig4":
-			points = append(points, bench.Fig4(w, *quick)...)
+			points = append(points, env.Fig4(w, *quick)...)
 		case "fig5":
-			points = append(points, bench.Fig5(w, *quick)...)
+			points = append(points, env.Fig5(w, *quick)...)
 		case "fig6":
-			bench.Fig6(w, *quick)
+			env.Fig6(w, *quick)
 		case "fig7":
-			bench.Fig7(w, *quick)
+			env.Fig7(w, *quick)
 		case "fig8":
-			bench.Fig8(w, *quick)
+			env.Fig8(w, *quick)
 		case "fig9":
-			bench.Fig9(w, *quick)
+			env.Fig9(w, *quick)
 		case "scale":
-			bench.Scalability(w, *quick)
+			env.Scalability(w, *quick)
 		case "summit":
-			bench.SummitPrediction(w, *quick)
+			env.SummitPrediction(w, *quick)
 		case "hermitian":
-			bench.Hermitian(w, *quick)
+			env.Hermitian(w, *quick)
 		case "pinning":
-			bench.PinningCost(w, *quick)
+			env.PinningCost(w, *quick)
 		case "factor":
-			bench.Factorizations(w, *quick)
+			env.Factorizations(w, *quick)
 		case "bign":
-			for _, r := range bench.BigN(w, *quick) {
+			for _, r := range env.BigN(w, *quick) {
 				if r.Err != nil {
 					exitErr = true
 				}
 			}
 		case "sweep":
-			pts, err := customSweep(w, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
+			pts, err := customSweep(w, env, *libsFlag, *routinesFlag, *sizesFlag, *tilesFlag, *runs, *dod)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				exit(2)
 			}
 			points = append(points, pts...)
 		case "batch":
-			bench.BatchSweep(w, *quick, *batchCount, *batchN)
+			env.BatchSweep(w, *quick, *batchCount, *batchN)
 		case "serve":
-			cfg, err := serveConfig(*fleetFlag, *arrivalFlag, *backpressureFlag,
-				*tenants, *requests, *qdepth, *parallel, *rate, *seed, *quick, *checkFlag, ctx)
+			cfg, err := serveConfig(env, *fleetFlag, *arrivalFlag, *backpressureFlag,
+				*tenants, *requests, *qdepth, *rate, *seed, *quick)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				exit(2)
@@ -344,11 +344,12 @@ func flagProblem(window, parallel, batchCount, batchN int) string {
 	return ""
 }
 
-// serveConfig builds the multi-tenant serving scenario from the flag set.
-// -quick keeps the flags' tenant/fleet shape but trims the replay to 300
-// requests unless -requests was moved off its default.
-func serveConfig(fleet, arrival, backpressure string, tenants, requests, qdepth, parallel int,
-	rate float64, seed int64, quick, check bool, ctx context.Context) (serve.Config, error) {
+// serveConfig builds the multi-tenant serving scenario from the flag set;
+// parallelism, auditing and the run bound come from env. -quick keeps the
+// flags' tenant/fleet shape but trims the replay to 300 requests unless
+// -requests was moved off its default.
+func serveConfig(env bench.Env, fleet, arrival, backpressure string, tenants, requests, qdepth int,
+	rate float64, seed int64, quick bool) (serve.Config, error) {
 	cfg := serve.Defaults()
 	var err error
 	if cfg.Fleet, err = serve.ParseFleet(fleet); err != nil {
@@ -366,11 +367,11 @@ func serveConfig(fleet, arrival, backpressure string, tenants, requests, qdepth,
 		cfg.Requests = 300
 	}
 	cfg.QueueDepth = qdepth
-	cfg.Parallel = parallel
+	cfg.Parallel = env.Parallel
 	cfg.RatePerSec = rate
 	cfg.Seed = seed
-	cfg.Check = check
-	cfg.Ctx = ctx
+	cfg.Check = env.Check
+	cfg.Ctx = env.Ctx
 	return cfg, nil
 }
 
@@ -467,15 +468,13 @@ func serveMetrics(addr string) (*metrics.LiveServer, error) {
 }
 
 // customSweep runs a user-specified sweep over the library roster.
-func customSweep(w *os.File, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) ([]bench.Point, error) {
+func customSweep(w *os.File, env bench.Env, libsSpec, routinesSpec, sizesSpec, tilesSpec string, runs int, dod bool) ([]bench.Point, error) {
 	cfg := bench.Config{
+		Env:           env,
 		Runs:          runs,
 		NoiseAmp:      0.02,
 		Progress:      w,
 		ExtraTilesFor: map[string]bool{"cuBLAS-XT": true, "Slate": true},
-		Parallel:      bench.DefaultParallelism,
-		Metrics:       bench.MetricsEnabled,
-		Ctx:           bench.SweepContext,
 	}
 	if dod {
 		cfg.Scenario = baseline.DataOnDevice

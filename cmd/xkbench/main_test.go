@@ -260,8 +260,9 @@ func TestServeMetricsBindErrorPropagates(t *testing.T) {
 func TestServeExperimentDeterministic(t *testing.T) {
 	run := func(parallel int) (string, []byte) {
 		t.Helper()
-		cfg, err := serveConfig("dgx1,dgx2", "bursty", "reject",
-			120, 1200, 8, parallel, 300, 1, true /* quick */, false, context.Background())
+		env := bench.Env{Parallel: parallel, Ctx: context.Background()}
+		cfg, err := serveConfig(env, "dgx1,dgx2", "bursty", "reject",
+			120, 1200, 8, 300, 1, true /* quick */)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +309,8 @@ func TestServeExperimentDeterministic(t *testing.T) {
 func TestBatchExperimentDeterministic(t *testing.T) {
 	run := func(parallel int) string {
 		t.Helper()
-		old := bench.DefaultParallelism
-		bench.DefaultParallelism = parallel
-		defer func() { bench.DefaultParallelism = old }()
 		var buf bytes.Buffer
-		bench.BatchSweep(&buf, true /* quick */, 8, 256)
+		bench.Env{Parallel: parallel}.BatchSweep(&buf, true /* quick */, 8, 256)
 		return buf.String()
 	}
 	a, b := run(1), run(8)
@@ -329,14 +327,14 @@ func TestBatchExperimentDeterministic(t *testing.T) {
 // TestServeConfigRejectsBadFlags pins flag validation to exit-code-2
 // errors rather than mid-run surprises.
 func TestServeConfigRejectsBadFlags(t *testing.T) {
-	ctx := context.Background()
-	if _, err := serveConfig("nonesuch", "bursty", "reject", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
+	env := bench.Env{Parallel: 1, Ctx: context.Background()}
+	if _, err := serveConfig(env, "nonesuch", "bursty", "reject", 120, 1200, 8, 300, 1, false); err == nil {
 		t.Fatal("unknown fleet platform must fail")
 	}
-	if _, err := serveConfig("dgx1", "fractal", "reject", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
+	if _, err := serveConfig(env, "dgx1", "fractal", "reject", 120, 1200, 8, 300, 1, false); err == nil {
 		t.Fatal("unknown arrival pattern must fail")
 	}
-	if _, err := serveConfig("dgx1", "bursty", "drop", 120, 1200, 8, 1, 300, 1, false, false, ctx); err == nil {
+	if _, err := serveConfig(env, "dgx1", "bursty", "drop", 120, 1200, 8, 300, 1, false); err == nil {
 		t.Fatal("unknown backpressure policy must fail")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"xkblas/internal/core"
 	"xkblas/internal/hostblas"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/xkrt"
 	"xkblas/internal/zblas"
 )
@@ -26,9 +27,16 @@ var configs = []struct {
 	name string
 	opt  xkrt.Options
 }{
-	{"full", xkrt.Options{TopoAware: true, Optimistic: true, Window: 4}},
-	{"no-heuristics", xkrt.Options{TopoAware: false, Optimistic: false, Window: 2}},
-	{"dmdas", xkrt.Options{TopoAware: true, Optimistic: true, Window: 2, Scheduler: xkrt.DMDAS}},
+	{"full", xkrt.Options{Window: 4, Policy: policy.XKBlas()}},
+	{"no-heuristics", xkrt.Options{Window: 2, Policy: policy.NoHeuristicNoTopo()}},
+	{"dmdas", xkrt.Options{Window: 2, Policy: xkblasDMDAS()}},
+}
+
+// xkblasDMDAS is the full XKBlas bundle on the StarPU DMDAS scheduler.
+func xkblasDMDAS() policy.Bundle {
+	b := policy.XKBlas()
+	b.Scheduler = policy.DMDAS{}
+	return b
 }
 
 func main() {

@@ -36,7 +36,7 @@ func (l cublasMGLib) Run(req Request) (res Result) {
 	// available but without topology ranking or forwarding heuristics.
 	h, _ := newHandle(req, xkrt.Options{
 		Window: 3,
-		Policy: &policy.Bundle{
+		Policy: policy.Bundle{
 			Source:    policy.LowestID{},
 			Scheduler: policy.WorkStealing{},
 			Evictor:   policy.LRUReadOnlyFirst{},

@@ -24,14 +24,7 @@ func XKBlas() Library {
 	return &StdLib{
 		LibName:  "XKBlas",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.Optimistic{Base: policy.TopoRank{}, Ranked: true},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: policy.XKBlas()},
 	}
 }
 
@@ -47,7 +40,7 @@ func XKBlasNearest() Library {
 		Routines: allSix,
 		Opts: xkrt.Options{
 			Window: 4,
-			Policy: &policy.Bundle{
+			Policy: policy.Bundle{
 				Source:    policy.Optimistic{Base: policy.NearestFirst{}, Ranked: true},
 				Scheduler: policy.WorkStealing{},
 				Evictor:   policy.LRUReadOnlyFirst{},
@@ -62,14 +55,7 @@ func XKBlasNoHeuristic() Library {
 	return &StdLib{
 		LibName:  "XKBlas, no heuristic",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.TopoRank{},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: policy.NoHeuristic()},
 	}
 }
 
@@ -80,14 +66,7 @@ func XKBlasNoHeuristicNoTopo() Library {
 	return &StdLib{
 		LibName:  "XKBlas, no heuristic, no topo",
 		Routines: allSix,
-		Opts: xkrt.Options{
-			Window: 4,
-			Policy: &policy.Bundle{
-				Source:    policy.LowestID{},
-				Scheduler: policy.WorkStealing{},
-				Evictor:   policy.LRUReadOnlyFirst{},
-			},
-		},
+		Opts:     xkrt.Options{Window: 4, Policy: policy.NoHeuristicNoTopo()},
 	}
 }
 
@@ -103,7 +82,7 @@ func CuBLASXT() Library {
 		Routines: allSix,
 		Opts: xkrt.Options{
 			Window: 2,
-			Policy: &policy.Bundle{
+			Policy: policy.Bundle{
 				Source:    policy.HostOnly{},
 				Scheduler: policy.WorkStealing{NoSteal: true},
 				Evictor:   policy.Streaming{},
@@ -128,7 +107,7 @@ func ChameleonTile() Library {
 	return &StdLib{
 		LibName:          "Chameleon Tile",
 		Routines:         allSix,
-		Opts:             xkrt.Options{Window: 2, Policy: &chameleonBundle},
+		Opts:             xkrt.Options{Window: 2, Policy: chameleonBundle},
 		InterCallBarrier: true,
 	}
 }
@@ -140,7 +119,7 @@ func ChameleonLAPACK() Library {
 	return &StdLib{
 		LibName:          "Chameleon LAPACK",
 		Routines:         allSix,
-		Opts:             xkrt.Options{Window: 2, Policy: &chameleonBundle},
+		Opts:             xkrt.Options{Window: 2, Policy: chameleonBundle},
 		ConvertGBs:       8, // single-socket repack bandwidth
 		InterCallBarrier: true,
 	}
@@ -156,7 +135,7 @@ func BLASX() Library {
 		Routines: gemmOnly,
 		Opts: xkrt.Options{
 			Window: 3,
-			Policy: &policy.Bundle{
+			Policy: policy.Bundle{
 				Source:    policy.SameSwitch{Base: policy.LowestID{}},
 				Scheduler: policy.WorkStealing{},
 				Evictor:   policy.LRUReadOnlyFirst{},
@@ -174,7 +153,7 @@ func DPLASMA() Library {
 		Routines: gemmOnly,
 		Opts: xkrt.Options{
 			Window: 3,
-			Policy: &policy.Bundle{
+			Policy: policy.Bundle{
 				Source:    policy.LowestID{},
 				Scheduler: policy.DMDAS{},
 				Evictor:   policy.LRUReadOnlyFirst{},

@@ -34,7 +34,7 @@ func Slate() Library {
 func slateOpts() xkrt.Options {
 	return xkrt.Options{
 		Window: 2,
-		Policy: &policy.Bundle{
+		Policy: policy.Bundle{
 			Source:    policy.HostOnly{},                  // all traffic over PCIe
 			Scheduler: policy.WorkStealing{NoSteal: true}, // fixed 2D distribution
 			Evictor:   policy.LRUReadOnlyFirst{},

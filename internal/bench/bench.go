@@ -44,33 +44,16 @@ type Point struct {
 	Err     error
 }
 
-// Config drives a sweep.
-type Config struct {
-	Libs     []baseline.Library
-	Routines []blasops.Routine
-	Sizes    []int
-	// Tiles lists candidate tile sizes; zero value uses the paper's
-	// {1024, 2048, 4096}.
-	Tiles []int
-	// ExtraTilesFor extends the candidates with {8192, 16384} for the
-	// named libraries (cuBLAS-XT and Slate in the paper).
-	ExtraTilesFor map[string]bool
-	// Platform selects the simulated platform every leaf run builds; nil
-	// falls back to the process-wide DefaultPlatform, and a nil result of
-	// that keeps the historical DGX-1 default (byte-identical output).
+// Env is the run-wide configuration of an experiment run: every setting
+// the simulated runs of one xkbench invocation share. It is built once
+// (cmd/xkbench builds it from its flags) and passed down explicitly: the
+// experiment drivers are its methods and every sweep Config embeds it. The
+// zero Env runs sequentially on the paper's DGX-1, unaudited, without
+// metrics and without a bound.
+type Env struct {
+	// Platform selects the simulated platform every run builds; nil keeps
+	// the historical DGX-1 default (byte-identical output).
 	Platform *topology.Platform
-	Scenario baseline.Scenario
-	// Runs is the number of measured repetitions (after one discarded
-	// warm-up); the paper uses 8.
-	Runs int
-	// NoiseAmp is the kernel jitter amplitude (0 disables noise and
-	// collapses the CI to zero).
-	NoiseAmp float64
-	// MaxTilesPerDim caps (N/NB) to bound simulation cost on huge sweeps;
-	// 0 means no cap.
-	MaxTilesPerDim int
-	// Progress, when non-nil, receives one line per completed point.
-	Progress io.Writer
 	// Parallel is the number of worker goroutines executing independent
 	// simulated runs. Values ≤ 1 run sequentially. Every simulation owns a
 	// private sim.Engine, and results are reassembled in the sequential
@@ -87,91 +70,59 @@ type Config struct {
 	// Off (the default), no collection happens and output is byte-identical
 	// to a metrics-free harness.
 	Metrics bool
-	// Ctx, when non-nil, bounds the sweep: once it is cancelled (deadline
-	// or signal) no new leaf simulations start, in-flight ones are aborted
+	// Sink, when non-nil, receives every collected leaf snapshot merged in
+	// (counters summed, gauges maxed) — the live aggregate behind the
+	// xkbench -serve endpoint. The merge is observational: it never feeds
+	// back into points, so it may run concurrently with scrapes.
+	Sink *metrics.Registry
+	// Ctx, when non-nil, bounds the run: once it is cancelled (deadline or
+	// signal) no new leaf simulations start, in-flight ones are aborted
 	// through the runtime's cancellation path, and RunSweep returns the
 	// completed prefix of points — every unfinished point carries the
-	// context's error. A nil (or never-cancelled) Ctx leaves the sweep
+	// context's error. A nil (or never-cancelled) Ctx leaves the run
 	// bit-identical to one without a context.
 	Ctx context.Context
-	// StreamWindow, when positive, streams every leaf run's DAG through a
+	// StreamWindow, when positive, streams every sweep run's DAG through a
 	// bounded task window (xkbench -window) instead of materializing it
 	// whole; 0 leaves runs byte-identical to the historical whole-graph
-	// submission. StreamWhole selects the whole-graph reference mode of
-	// the window (parity testing).
+	// submission.
 	StreamWindow int
-	StreamWhole  bool
 }
 
-// CheckRuns mirrors Config.Check for the experiment drivers that build
-// their own Config/Request values internally (xkbench -exp); the -check
-// flag sets it process-wide.
-var CheckRuns bool
-
-// SweepContext mirrors Config.Ctx for the experiment drivers that build
-// their own Config/Request values internally (xkbench -exp); the -timeout
-// flag and the SIGINT handler set it process-wide. nil means no bound.
-var SweepContext context.Context
-
-// MetricsEnabled mirrors Config.Metrics for the experiment drivers that
-// build their own Config internally (xkbench -exp); the -metrics flag sets
-// it process-wide.
-var MetricsEnabled bool
-
-// DefaultPlatform mirrors Config.Platform for the experiment drivers that
-// build their own Config/Request values internally (xkbench -exp); the
-// -platform flag sets it process-wide from the topology registry. nil keeps
-// the historical DGX-1 default and leaves every sweep byte-identical.
-var DefaultPlatform *topology.Platform
-
-// platformOf resolves a config's effective platform (nil means "let the
-// baseline layer default to the DGX-1").
-func platformOf(cfg Config) *topology.Platform {
-	if cfg.Platform != nil {
-		return cfg.Platform
-	}
-	return DefaultPlatform
-}
-
-// activePlatform resolves the process-wide platform selection for drivers
-// that need a concrete topology value (tables, bandwidth matrices).
-func activePlatform() *topology.Platform {
-	if DefaultPlatform != nil {
-		return DefaultPlatform
+// plat resolves the platform for drivers that need a concrete topology
+// value (tables, bandwidth matrices).
+func (e Env) plat() *topology.Platform {
+	if e.Platform != nil {
+		return e.Platform
 	}
 	return topology.DGX1()
 }
 
-// ForceStreamWindow mirrors Config.StreamWindow for the experiment drivers
-// that build their own Config internally (xkbench -exp); the -window flag
-// sets it process-wide. 0 (the default) forces nothing.
-var ForceStreamWindow int
-
-// ForceStreamWhole mirrors Config.StreamWhole the same way (xkbench
-// -stream-whole); it only matters when a stream window is in force.
-var ForceStreamWhole bool
-
-// streamWindow resolves a config's effective stream window and mode.
-func streamWindow(cfg Config) (win int, whole bool) {
-	win, whole = cfg.StreamWindow, cfg.StreamWhole
-	if win == 0 {
-		win = ForceStreamWindow
-	}
-	return win, whole || ForceStreamWhole
+// Config drives a sweep: the run-wide Env plus what to measure.
+type Config struct {
+	Env
+	Libs     []baseline.Library
+	Routines []blasops.Routine
+	Sizes    []int
+	// Tiles lists candidate tile sizes; zero value uses the paper's
+	// {1024, 2048, 4096}.
+	Tiles []int
+	// ExtraTilesFor extends the candidates with {8192, 16384} for the
+	// named libraries (cuBLAS-XT and Slate in the paper).
+	ExtraTilesFor map[string]bool
+	Scenario      baseline.Scenario
+	// Runs is the number of measured repetitions (after one discarded
+	// warm-up); the paper uses 8.
+	Runs int
+	// NoiseAmp is the kernel jitter amplitude (0 disables noise and
+	// collapses the CI to zero).
+	NoiseAmp float64
+	// MaxTilesPerDim caps (N/NB) to bound simulation cost on huge sweeps;
+	// 0 means no cap.
+	MaxTilesPerDim int
+	// Progress, when non-nil, receives one line per completed point.
+	Progress io.Writer
 }
-
-// Deprecated: SimWorkers is ignored; every engine runs one sequential
-// event loop. It once selected a partitioned loop whose results were
-// bit-identical at any worker count, so ignoring it changes no output. The
-// next change to the benchmark drops its remaining assignment, and then
-// this variable.
-var SimWorkers int
-
-// GlobalMetrics, when non-nil, receives every leaf run's snapshot merged in
-// (counters summed, gauges maxed) — the live aggregate behind the xkbench
-// -serve endpoint. The merge is observational: it never feeds back into
-// points or sinks, so it may run concurrently with scrapes.
-var GlobalMetrics *metrics.Registry
 
 // DefaultTiles is the paper's tile-size candidate set.
 func DefaultTiles() []int { return []int{1024, 2048, 4096} }
@@ -269,24 +220,22 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 			return baseline.Result{Err: err}
 		}
 	}
-	win, whole := streamWindow(cfg)
 	res := lib.Run(baseline.Request{
 		Routine:      r,
 		N:            n,
 		NB:           nb,
-		Platform:     platformOf(cfg),
+		Platform:     cfg.Platform,
 		Scenario:     cfg.Scenario,
 		NoiseAmp:     cfg.NoiseAmp,
 		NoiseSeed:    int64(rep)*7919 + int64(n) + int64(nb),
-		Check:        cfg.Check || CheckRuns,
-		Metrics:      cfg.Metrics || MetricsEnabled,
+		Check:        cfg.Check,
+		Metrics:      cfg.Metrics,
 		Ctx:          cfg.Ctx,
-		StreamWindow: win,
-		StreamWhole:  whole,
+		StreamWindow: cfg.StreamWindow,
 		Handles:      pool,
 	})
-	if GlobalMetrics != nil && res.Metrics != nil {
-		GlobalMetrics.MergeSnapshot(res.Metrics)
+	if cfg.Sink != nil && res.Metrics != nil {
+		cfg.Sink.MergeSnapshot(res.Metrics)
 	}
 	return res
 }

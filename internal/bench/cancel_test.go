@@ -158,13 +158,13 @@ func TestMeasurePointPreCancelledContext(t *testing.T) {
 // auditor-accepted cancelled drain.
 func TestRunSweepCancelRealLibraries(t *testing.T) {
 	base := Config{
+		Env:      Env{Check: true}, // auditor must accept the cancelled drains
 		Libs:     []baseline.Library{baseline.XKBlas(), baseline.CuBLASXT()},
 		Routines: []blasops.Routine{blasops.Gemm},
 		Sizes:    []int{4096, 8192},
 		Tiles:    []int{1024, 2048},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Check:    true, // auditor must accept the cancelled drains
 	}
 	ref := RunSweep(base)
 
@@ -207,13 +207,12 @@ func TestCancelledSweepLeaksNoGoroutines(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	cfg := Config{
+		Env:      Env{Parallel: 4, Ctx: ctx},
 		Libs:     []baseline.Library{baseline.XKBlas()},
 		Routines: []blasops.Routine{blasops.Gemm},
 		Sizes:    []int{4096, 8192},
 		Tiles:    []int{1024},
 		Runs:     2,
-		Parallel: 4,
-		Ctx:      ctx,
 	}
 	pts := RunSweep(cfg)
 	if len(pts) != 2 {

@@ -19,7 +19,7 @@ import (
 
 // Scalability sweeps DGEMM over 1..8 GPUs for XKBlas and cuBLAS-XT,
 // data-on-host.
-func Scalability(w io.Writer, quick bool) {
+func (e Env) Scalability(w io.Writer, quick bool) {
 	n := 32768
 	runs := 8
 	if quick {
@@ -30,7 +30,7 @@ func Scalability(w io.Writer, quick bool) {
 	fmt.Fprintf(w, "%-6s %14s %14s %10s\n", "GPUs", "XKBlas GF/s", "cuBLAS-XT GF/s", "speedup")
 	for g := 1; g <= 8; g++ {
 		plat := topology.DGX1WithGPUs(g)
-		cfg := Config{Tiles: []int{2048, 4096}, Runs: runs, NoiseAmp: 0.02, Parallel: DefaultParallelism}
+		cfg := Config{Env: e, Tiles: []int{2048, 4096}, Runs: runs, NoiseAmp: 0.02}
 		xk := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, plat)
 		xt := measureOn(cfg, baseline.CuBLASXT(), blasops.Gemm, n, plat)
 		ratio := 0.0
@@ -52,7 +52,7 @@ func measureOn(cfg Config, lib baseline.Library, r blasops.Routine, n int, plat 
 		grid[ti][rep-1] = lib.Run(baseline.Request{
 			Routine: r, N: n, NB: cfg.Tiles[ti], Platform: plat,
 			NoiseAmp: cfg.NoiseAmp, NoiseSeed: int64(rep) * 131,
-			Check: CheckRuns, Ctx: SweepContext,
+			Check: cfg.Check, Ctx: cfg.Ctx,
 		})
 	}
 	if cfg.Parallel > 1 {
@@ -101,7 +101,7 @@ func measureOn(cfg Config, lib baseline.Library, r blasops.Routine, n int, plat 
 // forwarding still pays off there because host links remain PCIe. Only the
 // hybrid cube-mesh DGX-1 exercises both heuristics — which is why the
 // paper evaluates there.
-func SummitPrediction(w io.Writer, quick bool) {
+func (e Env) SummitPrediction(w io.Writer, quick bool) {
 	n := 24576
 	runs := 8
 	if quick {
@@ -110,7 +110,7 @@ func SummitPrediction(w io.Writer, quick bool) {
 	}
 	fmt.Fprintf(w, "Extension — heuristic gains by platform (DGEMM N=%d, vs no-heuristic-no-topo)\n", n)
 	fmt.Fprintf(w, "%-34s %12s %12s %12s\n", "platform", "full GF/s", "ablated GF/s", "total gain")
-	cfg := Config{Tiles: []int{2048}, Runs: runs, NoiseAmp: 0.02, Parallel: DefaultParallelism}
+	cfg := Config{Env: e, Tiles: []int{2048}, Runs: runs, NoiseAmp: 0.02}
 	rows := []struct {
 		name string
 		plat *topology.Platform
@@ -119,12 +119,12 @@ func SummitPrediction(w io.Writer, quick bool) {
 		{"DGX-2 (NVSwitch, PCIe host)", topology.DGX2WithGPUs(8)},
 		{"Summit node (NVLink host)", topology.SummitNode()},
 	}
-	if DefaultPlatform != nil {
+	if e.Platform != nil {
 		// A -platform override joins the comparison as a fourth row.
 		rows = append(rows, struct {
 			name string
 			plat *topology.Platform
-		}{DefaultPlatform.Name, DefaultPlatform})
+		}{e.Platform.Name, e.Platform})
 	}
 	for _, pc := range rows {
 		on := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, pc.plat)
@@ -137,9 +137,9 @@ func SummitPrediction(w io.Writer, quick bool) {
 	}
 	// Per-heuristic split on the active platform (the Fig. 3 decomposition
 	// at one size; DGX-1 unless -platform overrides).
-	split := activePlatform()
+	split := e.plat()
 	label := "DGX-1"
-	if DefaultPlatform != nil {
+	if e.Platform != nil {
 		label = split.Name
 	}
 	onD := measureOn(cfg, baseline.XKBlas(), blasops.Gemm, n, split)
@@ -150,7 +150,7 @@ func SummitPrediction(w io.Writer, quick bool) {
 // Hermitian measures the complex routines (ZGEMM, HEMM, HERK, HER2K) on
 // the full XKBlas stack — the remaining three of the paper's "9 standard
 // BLAS subroutines" plus their GEMM building block.
-func Hermitian(w io.Writer, quick bool) {
+func (e Env) Hermitian(w io.Writer, quick bool) {
 	sizes := []int{4096, 8192, 16384, 24576}
 	if quick {
 		sizes = []int{4096, 8192}
@@ -158,7 +158,7 @@ func Hermitian(w io.Writer, quick bool) {
 	fmt.Fprintln(w, "Extension — complex/Hermitian routines, XKBlas, data-on-host (GFlop/s, complex flops)")
 	for _, r := range blasops.Hermitian() {
 		for _, n := range sizes {
-			gf := measureHermitian(r, n, 1024)
+			gf := e.measureHermitian(r, n, 1024)
 			fmt.Fprintf(w, "%-6s N=%-6d %10.1f GF/s\n", r, n, gf)
 		}
 	}
@@ -169,7 +169,7 @@ func Hermitian(w io.Writer, quick bool) {
 // paper's conclusion — and quantifies the composition benefit: the fully
 // asynchronous pipeline versus a fork-join execution with a barrier after
 // every panel.
-func Factorizations(w io.Writer, quick bool) {
+func (e Env) Factorizations(w io.Writer, quick bool) {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
@@ -178,8 +178,8 @@ func Factorizations(w io.Writer, quick bool) {
 	fmt.Fprintf(w, "%-8s %-8s %14s %16s %10s\n", "routine", "N", "async TF/s", "fork-join TF/s", "benefit")
 	for _, r := range []blasops.Routine{blasops.Potrf, blasops.Getrf} {
 		for _, n := range sizes {
-			async := measureFactor(r, n, 1024, false)
-			fj := measureFactor(r, n, 1024, true)
+			async := e.measureFactor(r, n, 1024, false)
+			fj := e.measureFactor(r, n, 1024, true)
 			ben := 0.0
 			if fj > 0 {
 				ben = 100 * (async/fj - 1)
@@ -191,8 +191,8 @@ func Factorizations(w io.Writer, quick bool) {
 
 // measureFactor runs one factorization in timing mode; panelSync inserts a
 // barrier after each panel's tasks (fork-join style).
-func measureFactor(r blasops.Routine, n, nb int, panelSync bool) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func (e Env) measureFactor(r blasops.Routine, n, nb int, panelSync bool) float64 {
+	h := core.NewHandle(core.Config{Platform: e.Platform, TileSize: nb})
 	A := h.Register(matrix.NewShape(n, n))
 	t0 := h.Now()
 	submit := func(m *xkrt.Matrix) {
@@ -222,7 +222,7 @@ func measureFactor(r blasops.Routine, n, nb int, panelSync bool) float64 {
 // registers (page-locks) operand memory before the timed section; charging
 // that cost inside the measurement degrades small-problem throughput
 // substantially.
-func PinningCost(w io.Writer, quick bool) {
+func (e Env) PinningCost(w io.Writer, quick bool) {
 	sizes := []int{8192, 16384, 32768}
 	if quick {
 		sizes = sizes[:2]
@@ -230,8 +230,8 @@ func PinningCost(w io.Writer, quick bool) {
 	fmt.Fprintln(w, "Extension — DGEMM with and without page-locking inside the timed section (§IV-A)")
 	fmt.Fprintf(w, "%-8s %16s %18s %10s\n", "N", "pinned a priori", "pinning measured", "penalty")
 	for _, n := range sizes {
-		without := measureGemmPinning(n, 2048, false)
-		with := measureGemmPinning(n, 2048, true)
+		without := e.measureGemmPinning(n, 2048, false)
+		with := e.measureGemmPinning(n, 2048, true)
 		pen := 0.0
 		if with > 0 {
 			pen = 100 * (without/with - 1)
@@ -240,8 +240,8 @@ func PinningCost(w io.Writer, quick bool) {
 	}
 }
 
-func measureGemmPinning(n, nb int, chargePin bool) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func (e Env) measureGemmPinning(n, nb int, chargePin bool) float64 {
+	h := core.NewHandle(core.Config{Platform: e.Platform, TileSize: nb})
 	a := h.Register(matrix.NewShape(n, n))
 	b := h.Register(matrix.NewShape(n, n))
 	c := h.Register(matrix.NewShape(n, n))
@@ -259,8 +259,8 @@ func measureGemmPinning(n, nb int, chargePin bool) float64 {
 	return blasops.GFlops(blasops.FlopsSquare(blasops.Gemm, n), float64(el))
 }
 
-func measureHermitian(r blasops.Routine, n, nb int) float64 {
-	h := core.NewHandle(core.Config{Platform: DefaultPlatform, TileSize: nb})
+func (e Env) measureHermitian(r blasops.Routine, n, nb int) float64 {
+	h := core.NewHandle(core.Config{Platform: e.Platform, TileSize: nb})
 	z := func() *xkrt.Matrix { return h.RegisterZ(matrix.NewZShape(n, n)) }
 	t0 := h.Now()
 	switch r {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,12 +14,13 @@ import (
 func TestExtensionExperimentsRun(t *testing.T) {
 	// Each extension must complete and produce non-empty output at quick
 	// scale; they are part of the cmd/xkbench surface.
+	env := Env{Parallel: runtime.NumCPU()}
 	cases := map[string]func(io.Writer, bool){
-		"scale":    Scalability,
-		"summit":   SummitPrediction,
-		"pinning":  PinningCost,
-		"hermitan": Hermitian,
-		"factor":   Factorizations,
+		"scale":    env.Scalability,
+		"summit":   env.SummitPrediction,
+		"pinning":  env.PinningCost,
+		"hermitan": env.Hermitian,
+		"factor":   env.Factorizations,
 	}
 	for name, fn := range cases {
 		var buf bytes.Buffer
@@ -34,7 +36,7 @@ func TestExtensionExperimentsRun(t *testing.T) {
 
 func TestSummitPredictionHolds(t *testing.T) {
 	var buf bytes.Buffer
-	SummitPrediction(&buf, true)
+	Env{Parallel: runtime.NumCPU()}.SummitPrediction(&buf, true)
 	out := buf.String()
 	// Parse the gain column and assert the DGX-1 gain dominates Summit's
 	// (§III-C): the table rows are "platform  full  ablated  gain%".
@@ -110,8 +112,8 @@ func sscanFloat(s string, v *float64) (int, error) {
 }
 
 func TestPinningPenaltySubstantial(t *testing.T) {
-	without := measureGemmPinning(16384, 2048, false)
-	with := measureGemmPinning(16384, 2048, true)
+	without := Env{}.measureGemmPinning(16384, 2048, false)
+	with := Env{}.measureGemmPinning(16384, 2048, true)
 	if with >= without {
 		t.Fatalf("pinning inside the timed section must cost: %.0f vs %.0f", with, without)
 	}
@@ -121,11 +123,11 @@ func TestPinningPenaltySubstantial(t *testing.T) {
 }
 
 func TestHermitianThroughputReasonable(t *testing.T) {
-	gf := measureHermitian(blasops.Zgemm, 8192, 1024)
+	gf := Env{}.measureHermitian(blasops.Zgemm, 8192, 1024)
 	if gf < 10000 || gf > 62400 {
 		t.Fatalf("ZGEMM throughput %0.f GF/s outside plausible range", gf)
 	}
-	herk := measureHermitian(blasops.Herk, 8192, 1024)
+	herk := Env{}.measureHermitian(blasops.Herk, 8192, 1024)
 	if herk <= 0 || herk > gf {
 		t.Fatalf("HERK %0.f GF/s should be positive and below ZGEMM %0.f", herk, gf)
 	}

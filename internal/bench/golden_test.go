@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xkblas/internal/baseline"
@@ -22,6 +23,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden parity CSV fro
 // eviction, work stealing (with and without migration) and DMDAS.
 func goldenConfig() Config {
 	return Config{
+		Env: Env{Parallel: runtime.NumCPU()},
 		Libs: append(Roster(),
 			baseline.XKBlasNoHeuristic(),
 			baseline.XKBlasNoHeuristicNoTopo()),
@@ -34,7 +36,6 @@ func goldenConfig() Config {
 		},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Parallel: DefaultParallelism,
 	}
 }
 
@@ -101,6 +102,7 @@ func TestGoldenPlatformParity(t *testing.T) {
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			cfg := Config{
+				Env: Env{Platform: tc.plat, Parallel: runtime.NumCPU()},
 				Libs: []baseline.Library{
 					baseline.XKBlas(),
 					baseline.XKBlasNoHeuristicNoTopo(),
@@ -109,10 +111,8 @@ func TestGoldenPlatformParity(t *testing.T) {
 				Routines: []blasops.Routine{blasops.Gemm, blasops.Trsm},
 				Sizes:    []int{8192},
 				Tiles:    []int{2048},
-				Platform: tc.plat,
 				Runs:     2,
 				NoiseAmp: 0.02,
-				Parallel: DefaultParallelism,
 			}
 			points := RunSweep(cfg)
 			var buf bytes.Buffer

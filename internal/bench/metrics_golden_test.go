@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xkblas/internal/baseline"
@@ -15,14 +16,13 @@ import (
 // histogram and policy decisions all land in the committed snapshot.
 func goldenMetricsConfig() Config {
 	return Config{
+		Env:      Env{Metrics: true, Parallel: runtime.NumCPU()},
 		Libs:     []baseline.Library{baseline.XKBlas()},
 		Routines: []blasops.Routine{blasops.Gemm},
 		Sizes:    []int{8192},
 		Tiles:    []int{2048},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Metrics:  true,
-		Parallel: DefaultParallelism,
 	}
 }
 

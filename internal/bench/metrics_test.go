@@ -17,13 +17,13 @@ import (
 // metricsConfig is a small sweep with metrics and noise on.
 func metricsConfig() Config {
 	return Config{
+		Env:      Env{Metrics: true},
 		Libs:     []baseline.Library{baseline.XKBlas(), baseline.CuBLASXT()},
 		Routines: []blasops.Routine{blasops.Gemm},
 		Sizes:    []int{4096, 8192},
 		Tiles:    []int{1024, 2048},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Metrics:  true,
 	}
 }
 
@@ -153,8 +153,6 @@ func TestMetricsTableRollups(t *testing.T) {
 // Prometheus handler.
 func TestMetricsServeScrapeConcurrentWithSweep(t *testing.T) {
 	reg := metrics.NewRegistry()
-	GlobalMetrics = reg
-	defer func() { GlobalMetrics = nil }()
 
 	srv := httptest.NewServer(metrics.Handler(reg))
 	defer srv.Close()
@@ -186,6 +184,7 @@ func TestMetricsServeScrapeConcurrentWithSweep(t *testing.T) {
 
 	cfg := metricsConfig()
 	cfg.Parallel = 8
+	cfg.Sink = reg
 	points := RunSweep(cfg)
 	close(done)
 	wg.Wait()

@@ -16,6 +16,7 @@ import (
 // libraries, tile candidates, noisy repetitions and an infeasible point.
 func parityConfig() Config {
 	return Config{
+		Env: Env{Metrics: true},
 		Libs: []baseline.Library{
 			baseline.XKBlas(),
 			baseline.CuBLASXT(),
@@ -27,7 +28,6 @@ func parityConfig() Config {
 		ExtraTilesFor: map[string]bool{"cuBLAS-XT": true, "Slate": true},
 		Runs:          2,
 		NoiseAmp:      0.02,
-		Metrics:       true,
 	}
 }
 
@@ -156,7 +156,7 @@ func (failingLib) Run(req baseline.Request) baseline.Result {
 // stands alone.
 func TestMeasurePointErrorRetainsTile(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		cfg := Config{Tiles: []int{1024, 2048}, Runs: 1, Parallel: workers}
+		cfg := Config{Env: Env{Parallel: workers}, Tiles: []int{1024, 2048}, Runs: 1}
 		p := MeasurePoint(cfg, failingLib{}, blasops.Gemm, 8192)
 		if p.Err == nil {
 			t.Fatal("expected an error when every tile fails")
@@ -205,13 +205,13 @@ func TestWorkerPoolStress(t *testing.T) {
 // -race it checks that concurrent simulations share no state.
 func TestRunSweepParallelStress(t *testing.T) {
 	cfg := Config{
+		Env:      Env{Parallel: 16},
 		Libs:     []baseline.Library{baseline.XKBlas(), baseline.BLASX()},
 		Routines: []blasops.Routine{blasops.Gemm},
 		Sizes:    []int{4096, 8192},
 		Tiles:    []int{1024, 2048},
 		Runs:     2,
 		NoiseAmp: 0.02,
-		Parallel: 16,
 	}
 	pts := RunSweep(cfg)
 	if len(pts) != 4 {
@@ -229,13 +229,13 @@ func TestRunSweepParallelStress(t *testing.T) {
 // multi-core speedup of the harness.
 func benchmarkSweep(b *testing.B, workers int) {
 	cfg := Config{
+		Env:      Env{Parallel: workers},
 		Libs:     []baseline.Library{baseline.XKBlas(), baseline.CuBLASXT(), baseline.BLASX()},
 		Routines: []blasops.Routine{blasops.Gemm, blasops.Syr2k},
 		Sizes:    []int{8192, 16384},
 		Tiles:    []int{1024, 2048, 4096},
 		Runs:     3,
 		NoiseAmp: 0.02,
-		Parallel: workers,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -51,7 +51,9 @@ type Config struct {
 	Functional bool
 	// Links selects the interconnect contention model (FIFO default).
 	Links device.LinkModel
-	// Runtime options (heuristics, scheduler, window).
+	// Options are the runtime options: the policy bundle plus the
+	// pipeline window, owner grid and admission window. The zero value
+	// selects xkrt.DefaultOptions() (the full XKBlas policy).
 	Options xkrt.Options
 	// Check attaches the strict coherence-invariant auditor
 	// (internal/check) to the runtime: every cache and scheduler state
@@ -82,8 +84,7 @@ func NewHandle(cfg Config) *Handle {
 	if cfg.TileSize == 0 {
 		cfg.TileSize = 2048
 	}
-	zero := xkrt.Options{}
-	if cfg.Options == zero {
+	if cfg.Options == (xkrt.Options{}) {
 		cfg.Options = xkrt.DefaultOptions()
 	}
 	eng := sim.NewEngine()

@@ -284,3 +284,31 @@ func (b Bundle) Validate() error {
 func (b Bundle) Name() string {
 	return fmt.Sprintf("%s/%s/%s", b.Source.Name(), b.Scheduler.Name(), b.Evictor.Name())
 }
+
+// XKBlas is the full library of the paper: topology-ranked sources
+// (§III-B) with optimistic forwarding over in-flight replicas (§III-C), on
+// XKaapi work stealing with the read-only-first LRU cache.
+func XKBlas() Bundle {
+	return Bundle{
+		Source:    Optimistic{Base: TopoRank{}, Ranked: true},
+		Scheduler: WorkStealing{},
+		Evictor:   LRUReadOnlyFirst{},
+	}
+}
+
+// NoHeuristic is XKBlas without optimistic forwarding ("XKBlas, no
+// heuristic" in Fig. 3): sources stay topology-ranked.
+func NoHeuristic() Bundle {
+	b := XKBlas()
+	b.Source = TopoRank{}
+	return b
+}
+
+// NoHeuristicNoTopo disables both heuristics ("XKBlas, no heuristic, no
+// topo" in Fig. 3): the source among valid replicas is the lowest device
+// id, regardless of link performance.
+func NoHeuristicNoTopo() Bundle {
+	b := XKBlas()
+	b.Source = LowestID{}
+	return b
+}

@@ -121,7 +121,7 @@ func runAuditStress(t *testing.T, b policy.Bundle, topoName string,
 	for _, g := range plat.GPUs {
 		g.Mem = device.NewMemPool(tileBytes*8 + 32)
 	}
-	rt := New(eng, plat, functional, Options{Window: win, Policy: &b})
+	rt := New(eng, plat, functional, Options{Window: win, Policy: b})
 	audit := check.New(false)
 	rt.AttachAuditor(audit)
 

@@ -58,7 +58,7 @@ func (rt *Runtime) requestReplica(tile *cache.Tile, dev topology.DeviceID, arriv
 // policy.SelectSource). The returned chained flag means "src is an
 // in-flight destination to wait on", not a valid holder.
 func (rt *Runtime) selectSource(tile *cache.Tile, dst topology.DeviceID) (topology.DeviceID, bool) {
-	src, chained, ok := policy.SelectSourceInto(rt.pol.Source, rt.Plat.Topo, tile, dst, rt.counters, rt.srcScratch)
+	src, chained, ok := policy.SelectSourceInto(rt.Opt.Policy.Source, rt.Plat.Topo, tile, dst, rt.counters, rt.srcScratch)
 	if !ok {
 		panic(fmt.Sprintf("xkrt: tile %v has no valid copy anywhere", tile.Key))
 	}

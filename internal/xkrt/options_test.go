@@ -25,10 +25,10 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero-window", Options{}, "Window"},
 		{"negative-window", Options{Window: -2}, "Window"},
-		{"unknown-scheduler", Options{Window: 4, Scheduler: SchedulerKind(42)}, "Scheduler"},
-		{"unknown-sources", Options{Window: 4, Sources: SourcePolicy(-1)}, "Sources"},
 		{"negative-grid", Options{Window: 4, GridP: -1}, "grid"},
-		{"incomplete-bundle", Options{Window: 4, Policy: &policy.Bundle{Source: policy.TopoRank{}}}, "Scheduler"},
+		{"no-policy", Options{Window: 4}, "SourceSelector"},
+		{"incomplete-bundle", Options{Window: 4, Policy: policy.Bundle{Source: policy.TopoRank{}}}, "Scheduler"},
+		{"no-evictor", Options{Window: 4, Policy: policy.Bundle{Source: policy.TopoRank{}, Scheduler: policy.DMDAS{}}}, "Evictor"},
 	}
 	for _, tc := range cases {
 		err := tc.opt.Validate()
@@ -53,7 +53,27 @@ func TestNewPanicsOnInvalidOptions(t *testing.T) {
 	}()
 	eng := sim.NewEngine()
 	plat := device.NewPlatform(eng, topology.DGX1())
-	New(eng, plat, false, Options{TopoAware: true})
+	New(eng, plat, false, Options{Policy: policy.XKBlas()})
+}
+
+// TestOptionsWithoutPolicyRejected: an Options value that names no policy
+// is an error, not a silent fallback to some ablation. Validate names the
+// missing bundle axis and New panics with the same error.
+func TestOptionsWithoutPolicyRejected(t *testing.T) {
+	opt := Options{Window: 4}
+	err := opt.Validate()
+	if err == nil || !strings.Contains(err.Error(), "SourceSelector") {
+		t.Fatalf("Validate(%+v) = %v, want an error naming the missing SourceSelector", opt, err)
+	}
+	defer func() {
+		r := recover()
+		perr, ok := r.(error)
+		if !ok || perr.Error() != err.Error() {
+			t.Fatalf("New panicked with %v, want %v", r, err)
+		}
+	}()
+	eng := sim.NewEngine()
+	New(eng, device.NewPlatform(eng, topology.DGX1()), false, opt)
 }
 
 // TestDecisionCountersEndToEnd drives the optimistic-chain counters through
@@ -80,7 +100,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 		return rt.Stats(), rt.Decisions()
 	}
 
-	stats, d := run(Options{TopoAware: true, Optimistic: true, Window: 4})
+	stats, d := run(Options{Window: 4, Policy: policy.XKBlas()})
 	if d.ChainsTaken == 0 {
 		t.Fatal("optimistic runtime never counted a chain hit")
 	}
@@ -102,7 +122,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 		t.Fatalf("Steals %d != stats.Steals %d", d.Steals, stats.Steals)
 	}
 
-	_, dOff := run(Options{TopoAware: true, Optimistic: false, Window: 4})
+	_, dOff := run(Options{Window: 4, Policy: policy.NoHeuristic()})
 	if dOff.ChainsTaken != 0 || dOff.ChainsMissed != 0 {
 		t.Fatalf("non-optimistic runtime counted chains: %+v", dOff)
 	}
@@ -114,7 +134,7 @@ func TestDecisionCountersEndToEnd(t *testing.T) {
 // identical runs snapshot byte-equal.
 func TestRuntimeMetricsCollection(t *testing.T) {
 	run := func() (RuntimeStats, cache.Stats, metrics.Snapshot) {
-		rt := newRuntime(false, Options{TopoAware: true, Optimistic: true, Window: 4})
+		rt := newRuntime(false, Options{Window: 4, Policy: policy.XKBlas()})
 		n, nb := 128, 16
 		A := rt.Register(matrix.NewShape(n, n), nb)
 		B := rt.Register(matrix.NewShape(n, n), nb)

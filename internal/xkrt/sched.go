@@ -81,8 +81,8 @@ func (rt *Runtime) enqueueReady(t *Task) {
 		rt.runPrefetch(t)
 		return
 	}
-	dev := rt.pol.Scheduler.Assign(t, schedState{rt})
-	if rt.pol.Scheduler.Sorted() {
+	dev := rt.Opt.Policy.Scheduler.Assign(t, schedState{rt})
+	if rt.Opt.Policy.Scheduler.Sorted() {
 		t.dev = dev
 		rt.insertByPriority(dev, t)
 		rt.estLoad[dev] += t.estExec
@@ -137,14 +137,14 @@ func (rt *Runtime) pump(dev topology.DeviceID) {
 func (rt *Runtime) popTask(dev topology.DeviceID) *Task {
 	if q := &rt.queues[dev]; q.len() > 0 {
 		t := q.popFront()
-		if rt.pol.Scheduler.Sorted() {
+		if rt.Opt.Policy.Scheduler.Sorted() {
 			rt.estLoad[dev] -= t.estExec
 		}
 		rt.readyCount--
 		rt.counters.OwnerHits.Add(1)
 		return t
 	}
-	victim, idx, ok := rt.pol.Scheduler.Steal(dev, schedState{rt})
+	victim, idx, ok := rt.Opt.Policy.Scheduler.Steal(dev, schedState{rt})
 	if !ok {
 		return nil
 	}
@@ -227,7 +227,7 @@ func (rt *Runtime) completeKernel(t *Task, start, end sim.Time) {
 		}
 		rt.Cache.Unpin(a.Tile, dev)
 		rt.Cache.Touch(a.Tile, dev)
-		if !rt.pol.Evictor.RetainAfterRead() && a.Mode == Read {
+		if !rt.Opt.Policy.Evictor.RetainAfterRead() && a.Mode == Read {
 			rt.Cache.DropClean(a.Tile, dev)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"xkblas/internal/cache"
 	"xkblas/internal/core"
 	"xkblas/internal/matrix"
+	"xkblas/internal/policy"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
 	"xkblas/internal/trace"
@@ -47,8 +48,12 @@ type (
 	ZMat = matrix.ZMat
 	// View is a column-major matrix view (data, m, n, ld).
 	View = matrix.View
-	// Options are runtime options (heuristics, scheduler, window).
+	// Options are runtime options: the policy Bundle plus the pipeline
+	// window, owner grid and admission window.
 	Options = xkrt.Options
+	// Bundle is a complete runtime policy: transfer-source selection,
+	// ready-task scheduling and eviction.
+	Bundle = policy.Bundle
 	// Platform describes a multi-GPU node's interconnect topology.
 	Platform = topology.Platform
 	// Time is virtual time in seconds.
@@ -74,7 +79,7 @@ const (
 )
 
 // New creates an XKBLAS context. The zero Config selects the 8-GPU DGX-1,
-// 2048 tiles, timing mode, and both heuristics enabled.
+// 2048 tiles, timing mode, and DefaultOptions (the XKBlasBundle policy).
 func New(cfg Config) *Handle { return core.NewHandle(cfg) }
 
 // DGX1 returns the paper's 8-GPU platform model.
@@ -92,9 +97,21 @@ func DGX2WithGPUs(n int) *Platform { return topology.DGX2WithGPUs(n) }
 // SummitNode returns a 6-GPU POWER9-style node with NVLink host links.
 func SummitNode() *Platform { return topology.SummitNode() }
 
-// DefaultOptions returns the full-featured XKBLAS runtime configuration
-// (topology-aware + optimistic heuristics, work stealing, window 4).
+// DefaultOptions returns the full-featured XKBLAS runtime configuration:
+// the XKBlasBundle policy with a pipeline window of 4.
 func DefaultOptions() Options { return xkrt.DefaultOptions() }
+
+// XKBlasBundle is the paper's full policy: topology-ranked transfer
+// sources (§III-B) with optimistic forwarding over in-flight replicas
+// (§III-C), on work stealing.
+func XKBlasBundle() Bundle { return policy.XKBlas() }
+
+// NoHeuristicBundle is the Fig. 3 ablation without optimistic forwarding.
+func NoHeuristicBundle() Bundle { return policy.NoHeuristic() }
+
+// NoHeuristicNoTopoBundle is the Fig. 3 ablation without either heuristic:
+// sources are picked by lowest device id.
+func NoHeuristicNoTopoBundle() Bundle { return policy.NoHeuristicNoTopo() }
 
 // NewMatrix allocates an m×n column-major matrix with real storage.
 func NewMatrix(m, n int) View { return matrix.New(m, n) }

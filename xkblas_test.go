@@ -152,7 +152,7 @@ func TestPlatformConstructors(t *testing.T) {
 		t.Error("SummitNode should have 6 GPUs")
 	}
 	opt := xkblas.DefaultOptions()
-	if !opt.TopoAware || !opt.Optimistic {
-		t.Error("default options must enable the paper's heuristics")
+	if got, want := opt.Policy.Name(), xkblas.XKBlasBundle().Name(); got != want {
+		t.Errorf("default policy = %s, want %s (both heuristics enabled)", got, want)
 	}
 }
