@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check kernel-check perfbench-check bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
+.PHONY: all build test race race-cancel metrics-race stress check golden-check topo-check serve-check batch-check kernel-check perfbench-check loc bench bench-alloc bench-bigN verify experiments experiments-quick examples fmt fmtcheck vet clean
 
 all: check
 
@@ -136,6 +136,13 @@ examples:
 	$(GO) run ./examples/cholesky
 	$(GO) run ./examples/lu
 	$(GO) run ./examples/composition
+
+# Non-test Go lines of the root module, the size measure ROADMAP aim 2
+# reports for each change. perfbench/ is its own module and not counted;
+# neither are dot-directories such as the benchmark's build cache.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.*' \
+		-exec cat {} + | wc -l
 
 fmt:
 	gofmt -w .

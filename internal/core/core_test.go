@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -60,15 +62,60 @@ func pick(cond bool, a, b int) int {
 	return b
 }
 
+// TestGemmAsyncAlphaZero: with alpha = 0, GEMM and ZGEMM are netlib's
+// C ← β·C. Neither A nor B is read, so their NaNs must not reach C, and
+// the call is one scaling task per C tile.
 func TestGemmAsyncAlphaZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := newFunctional(8)
 	av, bv, cv := randMat(rng, 16, 16), randMat(rng, 16, 16), randMat(rng, 16, 16)
+	av.Set(3, 5, math.NaN())
+	bv.Set(9, 1, math.NaN())
 	want := cv.Clone()
 	hostblas.Gemm(NoTrans, NoTrans, 0, av, bv, 0.25, want)
 	A, B, C := h.Register(av), h.Register(bv), h.Register(cv)
 	h.GemmAsync(NoTrans, NoTrans, 0, A, B, 0.25, C)
+	expectTasks(t, h, 4, "gemm alpha=0")
 	verify(t, h, C, cv, want, "gemm alpha=0")
+	expectBits(t, cv.Data, want.Data, "gemm alpha=0")
+
+	h = newFunctional(8)
+	az, bz, cz := randZMat(rng, 16, 16), randZMat(rng, 16, 16), randZMat(rng, 16, 16)
+	az.Set(3, 5, cmplx.NaN())
+	bz.Set(9, 1, cmplx.NaN())
+	beta := complex(0.25, -0.5)
+	wantZ := cz.Clone()
+	for j := 0; j < 16; j++ {
+		for i := 0; i < 16; i++ {
+			wantZ.Set(i, j, beta*cz.At(i, j))
+		}
+	}
+	A, B, C = h.RegisterZ(az), h.RegisterZ(bz), h.RegisterZ(cz)
+	h.ZgemmAsync(NoTrans, NoTrans, 0, A, B, beta, C)
+	expectTasks(t, h, 4, "zgemm alpha=0")
+	h.MemoryCoherentAsync(C)
+	h.Sync()
+	expectBits(t, cz.V.Data, wantZ.V.Data, "zgemm alpha=0")
+}
+
+// expectTasks drives h to completion and checks it ran want tasks.
+func expectTasks(t *testing.T, h *Handle, want int, label string) {
+	t.Helper()
+	h.Sync()
+	if got := h.RT.Stats().TasksRun; got != int64(want) {
+		t.Errorf("%s: %d tasks, want %d", label, got, want)
+	}
+}
+
+// expectBits checks got against want bit for bit, NaNs included.
+func expectBits(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s: element %d is %v, want %v", label, i, got[i], want[i])
+			return
+		}
+	}
 }
 
 func TestSymmAsyncAllVariants(t *testing.T) {
@@ -259,5 +306,62 @@ func TestVirtualTimeAdvancesWithWork(t *testing.T) {
 	end := h.Sync()
 	if end <= t0 {
 		t.Fatal("virtual clock did not advance")
+	}
+}
+
+// TestRealConjTransIsTranspose: on real matrices every tiled routine taking
+// a transpose flag gives bit-identical output for ConjTrans and Transpose.
+func TestRealConjTransIsTranspose(t *testing.T) {
+	const n, nb = 13, 4
+	rng := rand.New(rand.NewSource(17))
+	av, bv, cv := randMat(rng, n, n), randMat(rng, n, n), randMat(rng, n, n)
+	for i := 0; i < n; i++ {
+		av.Set(i, i, av.At(i, i)+float64(n)) // well-conditioned for TRSM
+	}
+	// Each call submits one routine with transpose flag x and returns the
+	// operand it writes.
+	type call func(h *Handle, x Trans, a, b, c *xkrt.Matrix) *xkrt.Matrix
+	calls := map[string]call{
+		"gemm(x,N)": func(h *Handle, x Trans, a, b, c *xkrt.Matrix) *xkrt.Matrix {
+			h.GemmAsync(x, NoTrans, 1.5, a, b, 0.5, c)
+			return c
+		},
+		"gemm(N,x)": func(h *Handle, x Trans, a, b, c *xkrt.Matrix) *xkrt.Matrix {
+			h.GemmAsync(NoTrans, x, 1.5, a, b, 0.5, c)
+			return c
+		},
+	}
+	for _, uplo := range []Uplo{Lower, Upper} {
+		uplo := uplo
+		calls["syrk"+uplo.String()] = func(h *Handle, x Trans, a, _, c *xkrt.Matrix) *xkrt.Matrix {
+			h.SyrkAsync(uplo, x, 1.5, a, 0.5, c)
+			return c
+		}
+		calls["syr2k"+uplo.String()] = func(h *Handle, x Trans, a, b, c *xkrt.Matrix) *xkrt.Matrix {
+			h.Syr2kAsync(uplo, x, 1.5, a, b, 0.5, c)
+			return c
+		}
+		for _, side := range []Side{Left, Right} {
+			side := side
+			calls["trmm"+side.String()+uplo.String()] = func(h *Handle, x Trans, a, b, _ *xkrt.Matrix) *xkrt.Matrix {
+				h.TrmmAsync(side, uplo, x, NonUnit, 1.5, a, b)
+				return b
+			}
+			calls["trsm"+side.String()+uplo.String()] = func(h *Handle, x Trans, a, b, _ *xkrt.Matrix) *xkrt.Matrix {
+				h.TrsmAsync(side, uplo, x, NonUnit, 1.5, a, b)
+				return b
+			}
+		}
+	}
+	for name, submit := range calls {
+		var out [2][]float64
+		for i, x := range []Trans{Transpose, ConjTrans} {
+			h := newFunctional(nb)
+			w := submit(h, x, h.Register(av.Clone()), h.Register(bv.Clone()), h.Register(cv.Clone()))
+			h.MemoryCoherentAsync(w)
+			h.Sync()
+			out[i] = w.View.Data
+		}
+		expectBits(t, out[1], out[0], name+" with 'C' against 'T'")
 	}
 }

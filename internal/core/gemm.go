@@ -28,7 +28,7 @@ func opGrid(ta Trans, a *xkrt.Matrix) (rows, cols int) {
 // combinations are supported. The call returns immediately; dependencies,
 // transfers and device mapping are resolved by the runtime.
 func (h *Handle) GemmAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	h.gemmLoop(ta, tb, alpha, a, b, beta, c, false)
+	gemmNest(h, dkern{h}, "gemm", ta, tb, alpha, a, b, beta, c, false)
 }
 
 // GemmFlushAsync is GemmAsync with each C tile's host write-back scheduled
@@ -41,21 +41,27 @@ func (h *Handle) GemmAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta 
 // Combined with a stream window it lets a generator pipe an arbitrarily
 // large product through fixed task and device memory.
 func (h *Handle) GemmFlushAsync(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	h.gemmLoop(ta, tb, alpha, a, b, beta, c, true)
+	gemmNest(h, dkern{h}, "gemm", ta, tb, alpha, a, b, beta, c, true)
 }
 
-// gemmLoop is the shared PLASMA pdgemm loop nest; flush interleaves each C
-// tile's coherency task after its k-chain.
-func (h *Handle) gemmLoop(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix, flush bool) {
+// ZgemmAsync submits C = alpha·op(A)·op(B) + beta·C on complex matrices,
+// op ∈ {N, T, C}.
+func (h *Handle) ZgemmAsync(ta, tb Trans, alpha complex128, a, b *xkrt.Matrix, beta complex128, c *xkrt.Matrix) {
+	gemmNest(h, zkern{h}, "zgemm", ta, tb, alpha, a, b, beta, c, false)
+}
+
+// gemmNest is the PLASMA pdgemm loop nest of GEMM and ZGEMM; flush
+// interleaves each C tile's coherency task after its k-chain.
+func gemmNest[T scalar](h *Handle, kern kernels[T], name string, ta, tb Trans, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix, flush bool) {
 	am, ak := opGrid(ta, a)
 	bk, bn := opGrid(tb, b)
 	if am != c.Rows() || bn != c.Cols() || ak != bk {
-		panic(fmt.Sprintf("core: gemm tile grids incompatible: op(A) %dx%d, op(B) %dx%d, C %dx%d",
-			am, ak, bk, bn, c.Rows(), c.Cols()))
+		panic(fmt.Sprintf("core: %s tile grids incompatible: op(A) %dx%d, op(B) %dx%d, C %dx%d",
+			name, am, ak, bk, bn, c.Rows(), c.Cols()))
 	}
 	if alpha == 0 {
 		c.EachTile(func(_, _ int, t *cache.Tile) {
-			h.scalTask(beta, t, 0)
+			kern.scal(beta, t, 0)
 			if flush {
 				h.RT.SubmitFlush(t)
 			}
@@ -76,7 +82,7 @@ func (h *Handle) gemmLoop(ta, tb Trans, alpha float64, a, b *xkrt.Matrix, beta f
 				if k > 0 {
 					bta = 1
 				}
-				h.gemmTask(ta, tb, alpha, opTile(ta, a, i, k), opTile(tb, b, k, j), bta, ct, 0)
+				kern.gemm(ta, tb, alpha, opTile(ta, a, i, k), opTile(tb, b, k, j), bta, ct, 0)
 			}
 			if flush {
 				h.RT.SubmitFlush(ct)

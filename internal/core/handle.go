@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"xkblas/internal/blasops"
 	"xkblas/internal/cache"
 	"xkblas/internal/check"
@@ -178,15 +176,7 @@ func (h *Handle) Sync() sim.Time { return h.RT.Barrier() }
 // Now reports the current virtual time, for interval measurements.
 func (h *Handle) Now() sim.Time { return h.Eng.Now() }
 
-// requireSquareGrid panics unless the matrix is square at the tile level
-// (the triangular-operand precondition).
-func requireSquareGrid(name string, m *xkrt.Matrix) {
-	if m.View.M != m.View.N {
-		panic(fmt.Sprintf("core: %s requires a square matrix, got %dx%d", name, m.View.M, m.View.N))
-	}
-}
-
-// storedLower reports whether tile (i,k) of a uplo-triangular tile grid is
+// stored reports whether tile (i,k) of a uplo-triangular tile grid is
 // inside the stored triangle (strictly, for off-diagonal use).
 func stored(uplo Uplo, i, k int) bool {
 	if uplo == Lower {

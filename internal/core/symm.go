@@ -12,19 +12,31 @@ import (
 // tile products use the SYMM tile kernel; off-diagonal products read the
 // stored triangle directly or transposed (the PLASMA pdsymm scheme).
 func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("symm", a)
+	symmNest(dkern{h}, "symm", side, uplo, alpha, a, b, beta, c)
+}
+
+// ZhemmAsync submits C = alpha·A·B + beta·C with A Hermitian (side Left)
+// or C = alpha·B·A + beta·C (side Right): SymmAsync's nest, with
+// off-diagonal blocks of the unstored triangle read conjugate-transposed.
+func (h *Handle) ZhemmAsync(side Side, uplo Uplo, alpha complex128, a, b *xkrt.Matrix, beta complex128, c *xkrt.Matrix) {
+	symmNest(zkern{h}, "zhemm", side, uplo, alpha, a, b, beta, c)
+}
+
+// symmNest is the PLASMA pdsymm loop nest of SYMM and HEMM.
+func symmNest[T scalar](kern kernels[T], name string, side Side, uplo Uplo, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid(kern, name, a)
 	mt, nt := c.Rows(), c.Cols()
 	if b.Rows() != mt || b.Cols() != nt {
-		panic(fmt.Sprintf("core: symm B grid %dx%d vs C %dx%d", b.Rows(), b.Cols(), mt, nt))
+		panic(fmt.Sprintf("core: %s B grid %dx%d vs C %dx%d", name, b.Rows(), b.Cols(), mt, nt))
 	}
 	if side == Left && a.Rows() != mt {
-		panic("core: symm left A grid mismatch")
+		panic(fmt.Sprintf("core: %s left A grid %d vs C rows %d", name, a.Rows(), mt))
 	}
 	if side == Right && a.Rows() != nt {
-		panic("core: symm right A grid mismatch")
+		panic(fmt.Sprintf("core: %s right A grid %d vs C cols %d", name, a.Rows(), nt))
 	}
 	if alpha == 0 {
-		c.EachTile(func(_, _ int, t *cache.Tile) { h.scalTask(beta, t, 0) })
+		c.EachTile(func(_, _ int, t *cache.Tile) { kern.scal(beta, t, 0) })
 		return
 	}
 	for i := 0; i < mt; i++ {
@@ -39,11 +51,11 @@ func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matri
 					}
 					switch {
 					case k == i:
-						h.symmTask(Left, uplo, alpha, a.Tile(i, i), b.Tile(k, j), bta, ct, 0)
+						kern.symm(Left, uplo, alpha, a.Tile(i, i), b.Tile(k, j), bta, ct, 0)
 					case stored(uplo, i, k):
-						h.gemmTask(NoTrans, NoTrans, alpha, a.Tile(i, k), b.Tile(k, j), bta, ct, 0)
+						kern.gemm(NoTrans, NoTrans, alpha, a.Tile(i, k), b.Tile(k, j), bta, ct, 0)
 					default:
-						h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
+						kern.gemm(kern.adj(), NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
 					}
 				}
 				continue
@@ -56,11 +68,11 @@ func (h *Handle) SymmAsync(side Side, uplo Uplo, alpha float64, a, b *xkrt.Matri
 				}
 				switch {
 				case k == j:
-					h.symmTask(Right, uplo, alpha, a.Tile(j, j), b.Tile(i, k), bta, ct, 0)
+					kern.symm(Right, uplo, alpha, a.Tile(j, j), b.Tile(i, k), bta, ct, 0)
 				case stored(uplo, k, j):
-					h.gemmTask(NoTrans, NoTrans, alpha, b.Tile(i, k), a.Tile(k, j), bta, ct, 0)
+					kern.gemm(NoTrans, NoTrans, alpha, b.Tile(i, k), a.Tile(k, j), bta, ct, 0)
 				default:
-					h.gemmTask(NoTrans, Transpose, alpha, b.Tile(i, k), a.Tile(j, k), bta, ct, 0)
+					kern.gemm(NoTrans, kern.adj(), alpha, b.Tile(i, k), a.Tile(j, k), bta, ct, 0)
 				}
 			}
 		}

@@ -12,14 +12,26 @@ import (
 // off-diagonal tiles of the stored triangle are plain GEMMs between
 // distinct row (or column) panels of A.
 func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("syrk", c)
+	syrkNest(dkern{h}, "syrk", uplo, trans, alpha, a, beta, c)
+}
+
+// ZherkAsync submits C = alpha·op(A)·op(A)ᴴ + beta·C on the uplo triangle
+// of the Hermitian C (alpha, beta real; trans ∈ {N, C}): SyrkAsync's nest
+// with HERK diagonal tiles and conjugate-transposed GEMM panels.
+func (h *Handle) ZherkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	syrkNest(zkern{h}, "zherk", uplo, trans, complex(alpha, 0), a, complex(beta, 0), c)
+}
+
+// syrkNest is the PLASMA pdsyrk loop nest of SYRK and HERK.
+func syrkNest[T scalar](kern kernels[T], name string, uplo Uplo, trans Trans, alpha T, a *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid(kern, name, c)
 	nt := c.Rows()
 	arows, kt := opGrid(trans, a)
 	if arows != nt {
-		panic(fmt.Sprintf("core: syrk op(A) rows %d vs C %d", arows, nt))
+		panic(fmt.Sprintf("core: %s op(A) rows %d vs C %d", name, arows, nt))
 	}
 	if alpha == 0 {
-		h.scaleTriangle(uplo, beta, c)
+		scaleTriangle(kern, uplo, beta, c)
 		return
 	}
 	for i := 0; i < nt; i++ {
@@ -34,14 +46,14 @@ func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix
 					bta = 1
 				}
 				if i == j {
-					h.syrkTask(uplo, trans, alpha, opTile(trans, a, i, k), bta, ct, 0)
+					kern.syrk(uplo, trans, alpha, opTile(trans, a, i, k), bta, ct, 0)
 					continue
 				}
 				// C[i,j] += alpha·op(A)[i,k]·op(A)[j,k]ᵀ.
 				if trans == NoTrans {
-					h.gemmTask(NoTrans, Transpose, alpha, a.Tile(i, k), a.Tile(j, k), bta, ct, 0)
+					kern.gemm(NoTrans, kern.adj(), alpha, a.Tile(i, k), a.Tile(j, k), bta, ct, 0)
 				} else {
-					h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), a.Tile(k, j), bta, ct, 0)
+					kern.gemm(kern.adj(), NoTrans, alpha, a.Tile(k, i), a.Tile(k, j), bta, ct, 0)
 				}
 			}
 		}
@@ -52,15 +64,27 @@ func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix
 // the uplo triangle of C (PLASMA pdsyr2k). Off-diagonal stored tiles
 // receive two GEMM updates per k step.
 func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
-	requireSquareGrid("syr2k", c)
+	syr2kNest(dkern{h}, "syr2k", uplo, trans, alpha, a, b, beta, c)
+}
+
+// Zher2kAsync submits C = alpha·op(A)·op(B)ᴴ + conj(alpha)·op(B)·op(A)ᴴ +
+// beta·C on the uplo triangle of the Hermitian C (beta real):
+// Syr2kAsync's nest with HER2K diagonal tiles.
+func (h *Handle) Zher2kAsync(uplo Uplo, trans Trans, alpha complex128, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	syr2kNest(zkern{h}, "zher2k", uplo, trans, alpha, a, b, complex(beta, 0), c)
+}
+
+// syr2kNest is the PLASMA pdsyr2k loop nest of SYR2K and HER2K.
+func syr2kNest[T scalar](kern kernels[T], name string, uplo Uplo, trans Trans, alpha T, a, b *xkrt.Matrix, beta T, c *xkrt.Matrix) {
+	requireSquareGrid(kern, name, c)
 	nt := c.Rows()
 	arows, kt := opGrid(trans, a)
 	brows, bkt := opGrid(trans, b)
 	if arows != nt || brows != nt || kt != bkt {
-		panic(fmt.Sprintf("core: syr2k grids: op(A) %dx%d, op(B) %dx%d, C %d", arows, kt, brows, bkt, nt))
+		panic(fmt.Sprintf("core: %s grids: op(A) %dx%d, op(B) %dx%d, C %d", name, arows, kt, brows, bkt, nt))
 	}
 	if alpha == 0 {
-		h.scaleTriangle(uplo, beta, c)
+		scaleTriangle(kern, uplo, beta, c)
 		return
 	}
 	for i := 0; i < nt; i++ {
@@ -75,17 +99,17 @@ func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Ma
 					bta = 1
 				}
 				if i == j {
-					h.syr2kTask(uplo, trans, alpha, opTile(trans, a, i, k), opTile(trans, b, i, k), bta, ct, 0)
+					kern.syr2k(uplo, trans, alpha, opTile(trans, a, i, k), opTile(trans, b, i, k), bta, ct, 0)
 					continue
 				}
 				// C[i,j] += alpha·op(A)[i,k]·op(B)[j,k]ᵀ
-				//         + alpha·op(B)[i,k]·op(A)[j,k]ᵀ.
+				//         + conj(alpha)·op(B)[i,k]·op(A)[j,k]ᵀ.
 				if trans == NoTrans {
-					h.gemmTask(NoTrans, Transpose, alpha, a.Tile(i, k), b.Tile(j, k), bta, ct, 0)
-					h.gemmTask(NoTrans, Transpose, alpha, b.Tile(i, k), a.Tile(j, k), 1, ct, 0)
+					kern.gemm(NoTrans, kern.adj(), alpha, a.Tile(i, k), b.Tile(j, k), bta, ct, 0)
+					kern.gemm(NoTrans, kern.adj(), kern.conj(alpha), b.Tile(i, k), a.Tile(j, k), 1, ct, 0)
 				} else {
-					h.gemmTask(Transpose, NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
-					h.gemmTask(Transpose, NoTrans, alpha, b.Tile(k, i), a.Tile(k, j), 1, ct, 0)
+					kern.gemm(kern.adj(), NoTrans, alpha, a.Tile(k, i), b.Tile(k, j), bta, ct, 0)
+					kern.gemm(kern.adj(), NoTrans, kern.conj(alpha), b.Tile(k, i), a.Tile(k, j), 1, ct, 0)
 				}
 			}
 		}
@@ -102,13 +126,13 @@ func onTriangle(uplo Uplo, i, j int) bool {
 
 // scaleTriangle submits beta-scaling of the stored triangle of C: whole
 // tiles off the diagonal, triangle-only on diagonal tiles.
-func (h *Handle) scaleTriangle(uplo Uplo, beta float64, c *xkrt.Matrix) {
+func scaleTriangle[T scalar](kern kernels[T], uplo Uplo, beta T, c *xkrt.Matrix) {
 	c.EachTile(func(i, j int, t *cache.Tile) {
 		switch {
 		case i == j:
-			h.scalTriTask(uplo, beta, t, 0)
+			kern.scalTri(uplo, beta, t, 0)
 		case onTriangle(uplo, i, j):
-			h.scalTask(beta, t, 0)
+			kern.scal(beta, t, 0)
 		}
 	})
 }

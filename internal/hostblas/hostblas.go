@@ -100,10 +100,11 @@ func symAt(uplo Uplo, a matrix.View, i, j int) float64 {
 
 // triOpAt reads element (i,j) of op(A) where A is triangular with the given
 // stored triangle and diagonal convention; elements outside the triangle of
-// op(A) read as zero.
+// op(A) read as zero. Any op other than NoTrans transposes: on real data
+// ConjTrans is Transpose.
 func triOpAt(uplo Uplo, ta Trans, diag Diag, a matrix.View, i, j int) float64 {
 	ii, jj := i, j
-	if ta == Transpose {
+	if ta != NoTrans {
 		ii, jj = j, i
 	}
 	if ii == jj {

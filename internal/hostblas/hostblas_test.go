@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xkblas/internal/blasops"
 	"xkblas/internal/matrix"
 )
 
@@ -458,6 +459,61 @@ func TestLacpyTri(t *testing.T) {
 				}
 			} else if dst.At(i, j) != 0 {
 				t.Fatal("strict upper not zeroed")
+			}
+		}
+	}
+}
+
+// TestConjTransMatchesTranspose: on real data ConjTrans is Transpose, so
+// every kernel taking a transpose flag must give bit-identical output for
+// 'C' and 'T', in every flag position and combination.
+func TestConjTransMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const n = 5
+	a, b := randView(rng, n, n), randView(rng, n, n)
+	// cases maps a kernel and its other flags to a call taking the
+	// transpose flags under test; out is the operand it writes.
+	type call func(x, y Trans, out matrix.View)
+	cases := map[string]call{
+		"gemm": func(x, y Trans, out matrix.View) { Gemm(x, y, 1.5, a, b, 0.5, out) },
+	}
+	for _, uplo := range []Uplo{Lower, Upper} {
+		uplo := uplo
+		cases["syrk/"+string(uplo)] = func(x, _ Trans, out matrix.View) { Syrk(uplo, x, 1.5, a, 0.5, out) }
+		cases["syr2k/"+string(uplo)] = func(x, _ Trans, out matrix.View) { Syr2k(uplo, x, 1.5, a, b, 0.5, out) }
+		for _, side := range []Side{Left, Right} {
+			for _, diag := range []Diag{NonUnit, Unit} {
+				side, diag := side, diag
+				tag := string(side) + string(uplo) + string(diag)
+				cases["trmm/"+tag] = func(x, _ Trans, out matrix.View) { Trmm(side, uplo, x, diag, 1.5, a, out) }
+				cases["trsm/"+tag] = func(x, _ Trans, out matrix.View) {
+					d := a.Clone()
+					for i := 0; i < n; i++ {
+						d.Set(i, i, 2+d.At(i, i))
+					}
+					Trsm(side, uplo, x, diag, 1.5, d, out)
+				}
+			}
+		}
+	}
+	c := randView(rng, n, n)
+	flags := [][2]Trans{{Transpose, Transpose}, {Transpose, NoTrans}, {NoTrans, Transpose}}
+	for name, run := range cases {
+		for _, f := range flags {
+			withC := func(x Trans) Trans {
+				if x == Transpose {
+					return blasops.ConjTrans
+				}
+				return x
+			}
+			want, got := c.Clone(), c.Clone()
+			run(f[0], f[1], want)
+			run(withC(f[0]), withC(f[1]), got)
+			for i := range want.Data {
+				if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Errorf("%s(%c,%c): element %d is %v with 'C', %v with 'T'", name, f[0], f[1], i, got.Data[i], want.Data[i])
+					break
+				}
 			}
 		}
 	}

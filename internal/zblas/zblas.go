@@ -61,7 +61,8 @@ func hermAt(uplo Uplo, a matrix.ZMat, i, j int) complex128 {
 	return conj(a.At(j, i))
 }
 
-func scale(beta complex128, c matrix.ZMat) {
+// Scal computes C = beta·C; beta = 0 writes zeros without reading C.
+func Scal(beta complex128, c matrix.ZMat) {
 	switch beta {
 	case 1:
 		return
@@ -102,7 +103,7 @@ func Gemm(ta, tb Trans, alpha complex128, a, b matrix.ZMat, beta complex128, c m
 	} else if b.N != k || b.M != n {
 		panic("zblas: gemm op(B) shape mismatch")
 	}
-	scale(beta, c)
+	Scal(beta, c)
 	if alpha == 0 {
 		return
 	}
@@ -133,7 +134,7 @@ func Hemm(side Side, uplo Uplo, alpha complex128, a, b matrix.ZMat, beta complex
 	if a.M != dim || a.N != dim {
 		panic("zblas: hemm A shape mismatch")
 	}
-	scale(beta, c)
+	Scal(beta, c)
 	if alpha == 0 {
 		return
 	}
@@ -167,7 +168,8 @@ func Hemm(side Side, uplo Uplo, alpha complex128, a, b matrix.ZMat, beta complex
 // Herk computes C = alpha·op(A)·op(A)ᴴ + beta·C on the uplo triangle of
 // the n×n Hermitian C. alpha and beta are real (BLAS contract); op is N
 // (A n×k) or ConjTrans (A k×n). The imaginary parts of the diagonal are
-// set to zero.
+// set to zero. As in netlib, alpha = 0 reads no operand but C (see
+// ScalHerm) and beta = 0 writes C without reading it.
 func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c matrix.ZMat) {
 	if trans == Transpose {
 		panic("zblas: herk trans must be N or C")
@@ -188,6 +190,10 @@ func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c 
 		}
 		k = a.M
 	}
+	if alpha == 0 {
+		ScalHerm(uplo, beta, c)
+		return
+	}
 	at := func(i, l int) complex128 {
 		if trans == NoTrans {
 			return a.At(i, l)
@@ -201,7 +207,39 @@ func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c 
 			for l := 0; l < k; l++ {
 				s += at(i, l) * conj(at(j, l))
 			}
-			v := complex(alpha, 0)*s + complex(beta, 0)*c.At(i, j)
+			c.Set(i, j, hermUpdate(i == j, complex(alpha, 0)*s, beta, c, i, j))
+		}
+	}
+}
+
+// hermUpdate returns v + beta·C[i,j], reading C only when beta != 0, with
+// the imaginary part dropped on the diagonal.
+func hermUpdate(diag bool, v complex128, beta float64, c matrix.ZMat, i, j int) complex128 {
+	if beta != 0 {
+		v += complex(beta, 0) * c.At(i, j)
+	}
+	if diag {
+		v = complex(real(v), 0)
+	}
+	return v
+}
+
+// ScalHerm computes C = beta·C on the uplo triangle of the Hermitian C,
+// scaling both parts by the real beta and dropping the imaginary parts of
+// the diagonal: netlib HERK and HER2K with alpha = 0. beta = 1 leaves C as
+// it is, and beta = 0 writes zeros without reading C.
+func ScalHerm(uplo Uplo, beta float64, c matrix.ZMat) {
+	if beta == 1 {
+		return
+	}
+	for j := 0; j < c.N; j++ {
+		lo, hi := triRange(uplo, j, c.N)
+		for i := lo; i < hi; i++ {
+			var v complex128
+			if beta != 0 {
+				x := c.At(i, j)
+				v = complex(beta*real(x), beta*imag(x))
+			}
 			if i == j {
 				v = complex(real(v), 0)
 			}
@@ -211,7 +249,8 @@ func Herk(uplo Uplo, trans Trans, alpha float64, a matrix.ZMat, beta float64, c 
 }
 
 // Her2k computes C = alpha·op(A)·op(B)ᴴ + conj(alpha)·op(B)·op(A)ᴴ +
-// beta·C on the uplo triangle of the Hermitian C; beta is real.
+// beta·C on the uplo triangle of the Hermitian C; beta is real. The
+// alpha = 0 and beta = 0 cases follow netlib, as in Herk.
 func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta float64, c matrix.ZMat) {
 	if trans == Transpose {
 		panic("zblas: her2k trans must be N or C")
@@ -232,6 +271,10 @@ func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta floa
 		}
 		k = a.M
 	}
+	if alpha == 0 {
+		ScalHerm(uplo, beta, c)
+		return
+	}
 	at := func(m matrix.ZMat, i, l int) complex128 {
 		if trans == NoTrans {
 			return m.At(i, l)
@@ -246,11 +289,7 @@ func Her2k(uplo Uplo, trans Trans, alpha complex128, a, b matrix.ZMat, beta floa
 				s += alpha*at(a, i, l)*conj(at(b, j, l)) +
 					conj(alpha)*at(b, i, l)*conj(at(a, j, l))
 			}
-			v := s + complex(beta, 0)*c.At(i, j)
-			if i == j {
-				v = complex(real(v), 0)
-			}
-			c.Set(i, j, v)
+			c.Set(i, j, hermUpdate(i == j, s, beta, c, i, j))
 		}
 	}
 }

@@ -255,3 +255,67 @@ func TestFillHermitianPlus(t *testing.T) {
 		}
 	}
 }
+
+// TestHerkHer2kNetlibShortcuts: with alpha = 0, HERK and HER2K read
+// neither A nor B: they scale C's stored triangle by beta componentwise and
+// make its diagonal real, and beta = 1 leaves C as it is. With beta = 0
+// they write C's triangle without reading it.
+func TestHerkHer2kNetlibShortcuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, k = 5, 3
+	calls := map[string]func(uplo Uplo, alpha complex128, a, b matrix.ZMat, beta float64, c matrix.ZMat){
+		"herk": func(uplo Uplo, alpha complex128, a, _ matrix.ZMat, beta float64, c matrix.ZMat) {
+			Herk(uplo, NoTrans, real(alpha), a, beta, c)
+		},
+		"her2k": func(uplo Uplo, alpha complex128, a, b matrix.ZMat, beta float64, c matrix.ZMat) {
+			Her2k(uplo, NoTrans, alpha, a, b, beta, c)
+		},
+	}
+	for name, call := range calls {
+		for _, uplo := range []Uplo{Lower, Upper} {
+			a, b := randZ(rng, n, k), randZ(rng, n, k)
+			a.Set(1, 1, cmplx.NaN())
+			b.Set(1, 0, cmplx.NaN())
+			for _, beta := range []float64{0.5, 1, 0} {
+				c := randZ(rng, n, n)
+				orig := c.Clone()
+				call(uplo, 0, a, b, beta, c)
+				for j := 0; j < n; j++ {
+					for i := 0; i < n; i++ {
+						x := orig.At(i, j)
+						want := x
+						lo, hi := triRange(uplo, j, n)
+						switch {
+						case i < lo || i >= hi || beta == 1:
+						case i == j:
+							want = complex(beta*real(x), 0)
+						default:
+							want = complex(beta*real(x), beta*imag(x))
+						}
+						if got := c.At(i, j); got != want {
+							t.Errorf("%s(%c) alpha=0 beta=%v: C[%d,%d] = %v, want %v", name, uplo, beta, i, j, got, want)
+						}
+					}
+				}
+			}
+
+			// beta = 0 with alpha != 0: C's triangle is output only.
+			a, b = randZ(rng, n, k), randZ(rng, n, k)
+			want := matrix.NewZ(n, n)
+			call(uplo, complex(0.5, 0.25), a, b, 1, want)
+			c := matrix.NewZ(n, n)
+			for i := range c.V.Data {
+				c.V.Data[i] = math.NaN()
+			}
+			call(uplo, complex(0.5, 0.25), a, b, 0, c)
+			for j := 0; j < n; j++ {
+				lo, hi := triRange(uplo, j, n)
+				for i := lo; i < hi; i++ {
+					if d := cmplx.Abs(c.At(i, j) - want.At(i, j)); !(d <= tol) {
+						t.Errorf("%s(%c) beta=0: C[%d,%d] = %v, want %v", name, uplo, i, j, c.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
