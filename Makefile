@@ -14,10 +14,11 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with multi-goroutine code: the
-# parallel sweep harness, the engine it drives, the parallel host GEMM, and
-# the runtime under the randomized audit sweep.
+# ordered fan-out executor, the sweep harness built on it, the engine it
+# drives, the parallel host GEMM, and the runtime under the randomized
+# audit sweep.
 race:
-	$(GO) test -race ./internal/bench/... ./internal/sim/... ./internal/hostblas/... ./internal/xkrt/...
+	$(GO) test -race ./internal/fanout/... ./internal/bench/... ./internal/sim/... ./internal/hostblas/... ./internal/xkrt/...
 
 # Cancellation/deadline propagation under the race detector: the engine's
 # cross-goroutine stop flag, the runtime's watchdog Cancel protocol, the
@@ -43,8 +44,10 @@ stress:
 
 # Golden gate: one full quick sweep, byte-diffed against the committed
 # results_quick.txt. The routed fabric graph, the batched path (idle host
-# server included) and the parallel sweep harness must all reproduce the
-# committed event order exactly.
+# server included) and the sweep harness must all reproduce the committed
+# event order exactly. Every -parallel value runs the same harness code
+# (one ordered fan-out, one commit path), so this one run at -parallel 8
+# covers them all.
 golden-check:
 	$(GO) run ./cmd/xkbench -exp all -quick -parallel 8 > .golden-check.quick.txt && \
 		diff -u results_quick.txt .golden-check.quick.txt && rm -f .golden-check.quick.txt

@@ -312,56 +312,26 @@ func submitRoutine(h *core.Handle, r blasops.Routine, ms []*xkrt.Matrix) {
 	}
 }
 
-// gflops converts a virtual duration into the paper's GFlop/s metric for
-// one square-N routine call (thin wrapper over the shared blasops helper).
-func gflops(r blasops.Routine, n int, d sim.Time) float64 {
-	return blasops.GFlops(blasops.FlopsSquare(r, n), float64(d))
+// dodGrid is the GPU grid of the data-on-device 2D block-cyclic layout:
+// the paper's (4, 2) on eight GPUs, a (gpus, 1) column otherwise.
+func dodGrid(gpus int) (p, q int) {
+	if gpus != 8 {
+		return gpus, 1
+	}
+	return 4, 2
 }
 
-// runStandard executes the common measurement protocol on a prepared
-// handle: DataOnHost times submit→coherent(out)→sync; DataOnDevice
-// distributes first, then times submit→sync (results stay resident).
-func runStandard(h *core.Handle, req Request, rec *trace.Recorder) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
-		}
-	}()
-	defer armCancel(req, h)()
-	ins, out := operands(h, req.Routine, req.N)
-	if req.Scenario == DataOnDevice {
-		p, q := 4, 2
-		if n := len(h.Plat.GPUs); n != 8 {
-			p, q = n, 1
-		}
-		for _, m := range ins {
-			h.Distribute2DBlockCyclicAsync(m, p, q)
-		}
-		h.Sync()
-		if rec != nil {
-			rec.Reset() // distribution is outside the measured interval
-		}
+// distribute lays the operands out 2D block-cyclically on the GPUs before
+// the measured interval of a data-on-device run: the layout is drained
+// and cut from the trace.
+func distribute(h *core.Handle, rec *trace.Recorder, ms ...*xkrt.Matrix) {
+	p, q := dodGrid(len(h.Plat.GPUs))
+	for _, m := range ms {
+		h.Distribute2DBlockCyclicAsync(m, p, q)
 	}
-	t0 := h.Now()
-	submitRoutine(h, req.Routine, ins)
-	if req.Scenario == DataOnHost {
-		h.MemoryCoherentAsync(out)
-	}
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
+	h.Sync()
 	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{
-		Elapsed:   el,
-		GFlops:    gflops(req.Routine, req.N, el),
-		Rec:       rec,
-		Cache:     h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(),
-		Metrics:   collectMetrics(req, h, rec),
+		rec.Reset()
 	}
 }
 
@@ -401,10 +371,18 @@ func (l *StdLib) Supports(r blasops.Routine) bool {
 	return false
 }
 
-// prepare builds the handle with the policy applied. The memory
-// reservation shrinks pool capacity, which Reset preserves, so it applies
-// to fresh handles only — a recycled one already carries it.
-func (l *StdLib) prepare(req Request) (*core.Handle, *trace.Recorder) {
+// measure is the run protocol every driver shares. It refuses a cancelled
+// context, builds (or recycles) the handle with the library's options and
+// memory reservation — which survives Reset, so it shapes fresh handles
+// only — and arms cancellation. body then submits the work and returns
+// the virtual time the measured interval starts at and the useful flops it
+// performs; the interval ends at the final Sync. A panic in the body
+// becomes the Result's error, and the handle goes back to the request's
+// pool only after a clean run.
+func (l *StdLib) measure(req Request, body func(h *core.Handle, rec *trace.Recorder) (t0 sim.Time, flops float64)) (res Result) {
+	if err := req.canceled(); err != nil {
+		return Result{Err: &xkrt.CanceledError{Cause: err}}
+	}
 	h, fresh := newHandle(req, l.Opts)
 	if fresh && l.MemReserve > 0 {
 		for _, g := range h.Plat.GPUs {
@@ -412,20 +390,46 @@ func (l *StdLib) prepare(req Request) (*core.Handle, *trace.Recorder) {
 			g.Mem = device.NewMemPool(keep)
 		}
 	}
-	return h, attachTrace(h, req)
+	rec := attachTrace(h, req)
+	defer func() { req.Handles.Release(h, req, res.Err) }()
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+		}
+	}()
+	defer armCancel(req, h)()
+	t0, flops := body(h, rec)
+	end := h.Sync()
+	if err := h.RT.Err(); err != nil {
+		return Result{Err: err, Rec: rec}
+	}
+	el := end - t0
+	if rec != nil {
+		rec.Decisions = h.RT.Decisions()
+	}
+	return Result{Elapsed: el, GFlops: blasops.GFlops(flops, float64(el)), Rec: rec,
+		Cache: h.RT.Cache.Stats(), Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
 }
 
-// Run implements Library.
+// Run implements Library: DataOnHost times submit→coherent(out)→sync;
+// DataOnDevice distributes first, then times submit→sync (results stay
+// resident).
 func (l *StdLib) Run(req Request) Result {
 	if !l.Supports(req.Routine) {
 		return Result{Err: fmt.Errorf("%s does not implement %v", l.LibName, req.Routine)}
 	}
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	h, rec := l.prepare(req)
-	res := runStandard(h, req, rec)
-	req.Handles.Release(h, req, res.Err)
+	res := l.measure(req, func(h *core.Handle, rec *trace.Recorder) (sim.Time, float64) {
+		ins, out := operands(h, req.Routine, req.N)
+		if req.Scenario == DataOnDevice {
+			distribute(h, rec, ins...)
+		}
+		t0 := h.Now()
+		submitRoutine(h, req.Routine, ins)
+		if req.Scenario == DataOnHost {
+			h.MemoryCoherentAsync(out)
+		}
+		return t0, blasops.FlopsSquare(req.Routine, req.N)
+	})
 	if l.ConvertGBs > 0 {
 		res = l.addConversionCost(req, res)
 	}
@@ -446,48 +450,28 @@ func (l *StdLib) addConversionCost(req Request, res Result) Result {
 	}
 	conv := sim.Time((float64(nOperands) + 1) * bytes / (l.ConvertGBs * 1e9))
 	res.Elapsed += conv
-	res.GFlops = gflops(req.Routine, req.N, res.Elapsed)
+	res.GFlops = blasops.GFlops(blasops.FlopsSquare(req.Routine, req.N), float64(res.Elapsed))
 	return res
 }
 
 // RunComposition implements Composer: TRSM(L,B in place) then GEMM
 // (D += B·C), with this library's inter-call semantics.
-func (l *StdLib) RunComposition(req Request) (res Result) {
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+func (l *StdLib) RunComposition(req Request) Result {
+	return l.measure(req, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		n := req.N
+		A := h.Register(matrix.NewShape(n, n))
+		B := h.Register(matrix.NewShape(n, n))
+		C := h.Register(matrix.NewShape(n, n))
+		D := h.Register(matrix.NewShape(n, n))
+		t0 := h.Now()
+		h.TrsmAsync(core.Left, core.Lower, core.NoTrans, core.NonUnit, 1, A, B)
+		if l.InterCallBarrier {
+			h.MemoryCoherentAsync(B)
+			h.Sync()
 		}
-	}()
-	defer armCancel(req, h)()
-	n := req.N
-	A := h.Register(matrix.NewShape(n, n))
-	B := h.Register(matrix.NewShape(n, n))
-	C := h.Register(matrix.NewShape(n, n))
-	D := h.Register(matrix.NewShape(n, n))
-	t0 := h.Now()
-	h.TrsmAsync(core.Left, core.Lower, core.NoTrans, core.NonUnit, 1, A, B)
-	if l.InterCallBarrier {
+		h.GemmAsync(core.NoTrans, core.NoTrans, 1, B, C, 1, D)
 		h.MemoryCoherentAsync(B)
-		h.Sync()
-	}
-	h.GemmAsync(core.NoTrans, core.NoTrans, 1, B, C, 1, D)
-	h.MemoryCoherentAsync(B)
-	h.MemoryCoherentAsync(D)
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	flops := blasops.FlopsSquare(blasops.Trsm, n) + blasops.FlopsSquare(blasops.Gemm, n)
-	gf := blasops.GFlops(flops, float64(el))
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{Elapsed: el, GFlops: gf, Rec: rec, Cache: h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
+		h.MemoryCoherentAsync(D)
+		return t0, blasops.FlopsSquare(blasops.Trsm, n) + blasops.FlopsSquare(blasops.Gemm, n)
+	})
 }

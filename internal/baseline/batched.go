@@ -9,6 +9,7 @@ import (
 	"xkblas/internal/matrix"
 	"xkblas/internal/sim"
 	"xkblas/internal/topology"
+	"xkblas/internal/trace"
 	"xkblas/internal/xkrt"
 )
 
@@ -63,7 +64,7 @@ func submitHostInstance(h *core.Handle, r blasops.Routine, bi blasops.BatchInsta
 // is the batch makespan; GFlops rates the batch's total useful flops over
 // it. Decisions are counted per instance in Decisions.DispatchDevice /
 // DispatchHost and surface as the dispatch.* metrics.
-func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode) (res Result) {
+func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode) Result {
 	if err := batch.Validate(); err != nil {
 		return Result{Err: err}
 	}
@@ -76,47 +77,28 @@ func (l *StdLib) RunBatched(req Request, batch blasops.Batch, mode DispatchMode)
 	if req.Scenario != DataOnHost {
 		return Result{Err: fmt.Errorf("baseline: batched runs support the data-on-host scenario only")}
 	}
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
 	req.Routine = batch.Routine
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+	return l.measure(req, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		dm := dispatchModelFor(h.Plat)
+		dm.Window = h.RT.Opt.Window
+		dm.NB = req.NB
+		count := batch.Count()
+		ngpu := len(h.Plat.GPUs)
+		t0 := h.Now()
+		devIdx := 0
+		for _, bi := range batch.Instances {
+			host := mode == DispatchHostOnly ||
+				(mode == DispatchAuto && dm.UseHost(batch.Routine, bi, count))
+			h.RT.CountDispatch(host)
+			if host {
+				submitHostInstance(h, batch.Routine, bi)
+				continue
+			}
+			ins, out := batchOperands(h, batch.Routine, bi, topology.DeviceID(devIdx%ngpu))
+			devIdx++
+			submitRoutine(h, batch.Routine, ins)
+			h.MemoryCoherentAsync(out)
 		}
-	}()
-	defer armCancel(req, h)()
-	dm := dispatchModelFor(h.Plat)
-	dm.Window = h.RT.Opt.Window
-	dm.NB = req.NB
-	count := batch.Count()
-	ngpu := len(h.Plat.GPUs)
-	t0 := h.Now()
-	devIdx := 0
-	for _, bi := range batch.Instances {
-		host := mode == DispatchHostOnly ||
-			(mode == DispatchAuto && dm.UseHost(batch.Routine, bi, count))
-		h.RT.CountDispatch(host)
-		if host {
-			submitHostInstance(h, batch.Routine, bi)
-			continue
-		}
-		ins, out := batchOperands(h, batch.Routine, bi, topology.DeviceID(devIdx%ngpu))
-		devIdx++
-		submitRoutine(h, batch.Routine, ins)
-		h.MemoryCoherentAsync(out)
-	}
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	gf := blasops.GFlops(batch.Flops(), float64(el))
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{Elapsed: el, GFlops: gf, Rec: rec, Cache: h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
+		return t0, batch.Flops()
+	})
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"xkblas/internal/blasops"
-	"xkblas/internal/xkrt"
+	"xkblas/internal/core"
+	"xkblas/internal/sim"
+	"xkblas/internal/trace"
 )
 
 // FusedRunner is implemented by libraries that can execute a batch of
@@ -23,7 +25,7 @@ type FusedRunner interface {
 // coherency write-back with the remaining computation (data-on-host
 // protocol), so the fused graph overlaps one instance's D2H with the next
 // instance's kernels. The measured interval covers every instance.
-func (l *StdLib) RunFused(req Request, count int) (res Result) {
+func (l *StdLib) RunFused(req Request, count int) Result {
 	if count < 1 {
 		return Result{Err: fmt.Errorf("baseline: fused batch needs count >= 1, got %d", count)}
 	}
@@ -33,32 +35,13 @@ func (l *StdLib) RunFused(req Request, count int) (res Result) {
 	if req.Scenario != DataOnHost {
 		return Result{Err: fmt.Errorf("baseline: fused batches support the data-on-host scenario only")}
 	}
-	if err := req.canceled(); err != nil {
-		return Result{Err: &xkrt.CanceledError{Cause: err}}
-	}
-	h, rec := l.prepare(req)
-	defer func() { req.Handles.Release(h, req, res.Err) }()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("baseline: %v", r), Rec: rec}
+	return l.measure(req, func(h *core.Handle, _ *trace.Recorder) (sim.Time, float64) {
+		t0 := h.Now()
+		for i := 0; i < count; i++ {
+			ins, out := operands(h, req.Routine, req.N)
+			submitRoutine(h, req.Routine, ins)
+			h.MemoryCoherentAsync(out)
 		}
-	}()
-	defer armCancel(req, h)()
-	t0 := h.Now()
-	for i := 0; i < count; i++ {
-		ins, out := operands(h, req.Routine, req.N)
-		submitRoutine(h, req.Routine, ins)
-		h.MemoryCoherentAsync(out)
-	}
-	end := h.Sync()
-	if err := h.RT.Err(); err != nil {
-		return Result{Err: err, Rec: rec}
-	}
-	el := end - t0
-	gf := blasops.GFlops(float64(count)*blasops.FlopsSquare(req.Routine, req.N), float64(el))
-	if rec != nil {
-		rec.Decisions = h.RT.Decisions()
-	}
-	return Result{Elapsed: el, GFlops: gf, Rec: rec, Cache: h.RT.Cache.Stats(),
-		Decisions: h.RT.Decisions(), Metrics: collectMetrics(req, h, rec)}
+		return t0, float64(count) * blasops.FlopsSquare(req.Routine, req.N)
+	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
+	"xkblas/internal/fanout"
 	"xkblas/internal/topology"
 )
 
@@ -66,8 +67,8 @@ func (e Env) BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 		// deterministic simulated run, so the grid can fan out across
 		// workers and still print bit-identical tables at any -parallel.
 		pool := baseline.NewHandlePool()
-		runLeg := func(ci, li int) {
-			cl := &cells[ci]
+		fanout.Each(e.Parallel, len(cells)*len(modes), func(i int) {
+			cl, li := &cells[i/len(modes)], i%len(modes)
 			req := baseline.Request{
 				Routine: blasops.Gemm, N: cl.n, NB: 512, Platform: plat,
 				Scenario: baseline.DataOnHost, Check: e.Check, Ctx: e.Ctx,
@@ -75,22 +76,7 @@ func (e Env) BatchSweep(w io.Writer, quick bool, forceCount, forceN int) {
 			}
 			cl.legs[li] = lib.RunBatched(req,
 				blasops.UniformBatch(blasops.Gemm, cl.count, cl.n, cl.n, cl.n), modes[li])
-		}
-		if e.Parallel > 1 {
-			wp := newWorkerPool(e.Parallel)
-			for ci := range cells {
-				for li := range modes {
-					wp.Submit(func() { runLeg(ci, li) })
-				}
-			}
-			wp.Wait()
-		} else {
-			for ci := range cells {
-				for li := range modes {
-					runLeg(ci, li)
-				}
-			}
-		}
+		})
 		fmt.Fprintf(w, "  %-7s %-7s %13s %13s %15s %13s\n",
 			"count", "n", "device GF/s", "host GF/s", "crossover GF/s", "routed d/h")
 		for i := range cells {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
@@ -38,8 +39,8 @@ type Point struct {
 	Decisions policy.Decisions
 	// Metrics is the utilization snapshot of the same repetition (nil
 	// unless Config.Metrics was set). Like Decisions it comes from the best
-	// tile's first measured rep, so sequential and parallel sweeps agree
-	// byte-for-byte.
+	// tile's first measured rep, so sweeps agree byte-for-byte at any
+	// worker count.
 	Metrics metrics.Snapshot
 	Err     error
 }
@@ -55,10 +56,10 @@ type Env struct {
 	// the historical DGX-1 default (byte-identical output).
 	Platform *topology.Platform
 	// Parallel is the number of worker goroutines executing independent
-	// simulated runs. Values ≤ 1 run sequentially. Every simulation owns a
-	// private sim.Engine, and results are reassembled in the sequential
-	// order, so any parallelism level returns bit-identical points (see
-	// DESIGN.md §6).
+	// simulated runs; values ≤ 1 mean one, the calling goroutine. Every
+	// simulation owns a private sim.Engine, and points are reduced and
+	// reported in plan order, so any parallelism level returns
+	// bit-identical points (see DESIGN.md §6).
 	Parallel int
 	// Check attaches the strict coherence-invariant auditor to every
 	// simulated run (xkbench -check). Auditing is pure observation: a clean
@@ -193,7 +194,7 @@ func tileCandidates(cfg Config, lib baseline.Library) []int {
 
 // feasibleTiles filters candidates against the problem size and the
 // per-dimension tile cap. The result is fully determined by the config, so
-// the parallel harness can enumerate every simulated run up front.
+// the harness can enumerate every simulated run up front.
 func feasibleTiles(cfg Config, lib baseline.Library, n int) []int {
 	var out []int
 	for _, nb := range tileCandidates(cfg, lib) {
@@ -241,70 +242,57 @@ func runRep(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blaso
 }
 
 // tileRuns holds the per-repetition results of one candidate tile size.
-// upTo is the number of populated entries: the sequential path stops filling
-// at the first error, the parallel path always fills all of them; reduction
-// only reads entries up to the first error, so both populations reduce to
-// the same Point.
 type tileRuns struct {
-	nb   int
-	res  []baseline.Result // indexed by rep; entry 0 is the warm-up
-	upTo int
+	nb  int
+	res []baseline.Result // indexed by rep; entry 0 is the warm-up
+	// failed is the lowest repetition seen to fail (math.MaxInt32 while
+	// none has). Later repetitions are skipped: the reduction stops at the
+	// first error and never reads them.
+	failed atomic.Int32
 }
 
-// measureTilesSequential reproduces the sequential per-tile inner loop:
-// warm-up then measured repetitions, stopping a tile at its first error.
-func measureTilesSequential(cfg Config, pool *baseline.HandlePool, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
-	runs := effectiveRuns(cfg)
-	out := make([]tileRuns, len(tiles))
-	for ti, nb := range tiles {
-		tr := tileRuns{nb: nb, res: make([]baseline.Result, runs+1)}
-		for rep := 0; rep <= runs; rep++ {
-			tr.res[rep] = runRep(cfg, pool, lib, r, n, nb, rep)
-			tr.upTo = rep + 1
-			if tr.res[rep].Err != nil {
-				break
-			}
-		}
-		out[ti] = tr
+// fail records that repetition rep failed.
+func (tr *tileRuns) fail(rep int32) {
+	for cur := tr.failed.Load(); rep < cur && !tr.failed.CompareAndSwap(cur, rep); cur = tr.failed.Load() {
 	}
-	return out
 }
 
-// reducePoint folds per-tile results into the best-tile Point. It is the
-// single reduction used by the sequential and parallel paths, which is what
-// makes their outputs bit-identical: tiles are considered in candidate
-// order and samples in repetition order, exactly as the sequential loop
-// measured them. When every tile fails, the returned point carries the last
-// error tagged with its tile size.
+// firstErr returns the error that ends the tile's repetitions, nil if
+// none failed.
+func (tr *tileRuns) firstErr() error {
+	for i := range tr.res {
+		if err := tr.res[i].Err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reducePoint folds per-tile results into the best-tile Point: tiles are
+// considered in candidate order and samples in repetition order, up to
+// each tile's first error. When every tile fails, the returned point
+// carries the last error tagged with its tile size.
 func reducePoint(lib baseline.Library, r blasops.Routine, n int, tiles []tileRuns) Point {
 	best := Point{Lib: lib.Name(), Routine: r, N: n, Err: fmt.Errorf("no feasible tile size")}
 	var lastErr error
 	lastNB := 0
-	for _, tr := range tiles {
-		var samples []float64
-		var failed error
-		for rep := 0; rep < tr.upTo; rep++ {
-			res := tr.res[rep]
-			if res.Err != nil {
-				failed = res.Err
-				break
-			}
-			if rep == 0 {
-				continue // warm-up
-			}
-			samples = append(samples, res.GFlops)
-		}
-		if failed != nil {
-			lastErr = failed
+	for i := range tiles {
+		tr := &tiles[i]
+		if err := tr.firstErr(); err != nil {
+			lastErr = err
 			lastNB = tr.nb
 			continue
+		}
+		samples := make([]float64, 0, len(tr.res)-1)
+		for _, res := range tr.res[1:] { // entry 0 is the warm-up
+			samples = append(samples, res.GFlops)
 		}
 		mean, ci := meanCI(samples)
 		if best.Err != nil || mean > best.GFlops {
 			best = Point{Lib: lib.Name(), Routine: r, N: n, NB: tr.nb,
 				GFlops: mean, CI95: ci, Runs: len(samples),
 				// First measured repetition: deterministic for a given
-				// config, so sequential and parallel sweeps agree.
+				// config, whichever worker ran it.
 				Decisions: tr.res[1].Decisions,
 				Metrics:   tr.res[1].Metrics}
 		}
@@ -324,15 +312,13 @@ func leafCanceled(err error) bool {
 		errors.Is(err, xkrt.ErrCanceled))
 }
 
-// pointCanceled reports whether any populated leaf of a point was cut
-// short by cancellation. Such a point must not be reduced: its samples are
-// an arbitrary subset of the configured repetitions.
-func pointCanceled(trs []tileRuns) bool {
-	for _, tr := range trs {
-		for rep := 0; rep < tr.upTo; rep++ {
-			if leafCanceled(tr.res[rep].Err) {
-				return true
-			}
+// pointCanceled reports whether a tile of the point was cut short by
+// cancellation. Such a point must not be reduced: its samples are an
+// arbitrary subset of the configured repetitions.
+func pointCanceled(tiles []tileRuns) bool {
+	for i := range tiles {
+		if leafCanceled(tiles[i].firstErr()) {
+			return true
 		}
 	}
 	return false
@@ -356,39 +342,14 @@ func canceledPoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) P
 	return Point{Lib: lib.Name(), Routine: r, N: n, Err: sweepErr(cfg)}
 }
 
-// MeasurePoint measures one (lib, routine, N) with best-tile selection.
-// Every repetition and tile candidate of the point reuses one pool of
-// library contexts (engine, platform, runtime and their arenas survive
-// across runs via Reset) instead of rebuilding them per leaf; a recycled
-// context reproduces a fresh one bit for bit, so results are unchanged.
-// With cfg.Parallel > 1 the per-tile/per-repetition simulations run on a
-// bounded worker pool; the result is bit-identical to the sequential path.
-// If cfg.Ctx is cancelled mid-measurement the point comes back with the
-// context's error instead of a partial reduction.
-func MeasurePoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) Point {
-	tiles := feasibleTiles(cfg, lib, n)
-	pool := baseline.NewHandlePool()
-	var trs []tileRuns
-	if cfg.Parallel > 1 {
-		trs = measureTilesParallel(cfg, pool, lib, r, n, tiles)
-	} else {
-		trs = measureTilesSequential(cfg, pool, lib, r, n, tiles)
-	}
-	if pointCanceled(trs) {
-		return canceledPoint(cfg, lib, r, n)
-	}
-	return reducePoint(lib, r, n, trs)
-}
-
-// sweepPlan is one (routine, library, size) work unit of a sweep, in the
-// deterministic order of the sequential loop.
+// sweepPlan is one (routine, library, size) point of a sweep.
 type sweepPlan struct {
 	lib baseline.Library
 	r   blasops.Routine
 	n   int
 }
 
-// sweepPlans enumerates the sweep's points in sequential order.
+// sweepPlans enumerates the sweep's points in plan order.
 func sweepPlans(cfg Config) []sweepPlan {
 	var plans []sweepPlan
 	for _, r := range cfg.Routines {
@@ -417,39 +378,25 @@ func progressLine(w io.Writer, p Point) {
 	}
 }
 
-// RunSweep measures every combination in the config. With cfg.Parallel > 1
-// the independent simulations fan out across a bounded worker pool; points
-// and Progress lines are assembled in the same deterministic order as the
-// sequential loop and are bit-identical to it.
+// MeasurePoint measures one (lib, routine, N) with best-tile selection: a
+// sweep of one point, without a Progress line. If cfg.Ctx is cancelled
+// mid-measurement the point comes back with the context's error instead
+// of a partial reduction.
+func MeasurePoint(cfg Config, lib baseline.Library, r blasops.Routine, n int) Point {
+	cfg.Progress = nil
+	return runPlans(cfg, []sweepPlan{{lib: lib, r: r, n: n}})[0]
+}
+
+// RunSweep measures every combination in the config and returns one point
+// per plan entry, in plan order, printing each point's Progress line as it
+// is committed.
 //
 // When cfg.Ctx is cancelled mid-sweep the returned slice still has one
 // entry per planned point, in the same deterministic order: a completed
 // prefix bit-identical to what an uncancelled sweep would have produced,
 // followed by points whose Err is the context's error. The cut is
 // monotonic — once one point is cancelled, every later point is too.
-func RunSweep(cfg Config) []Point {
-	if cfg.Parallel > 1 {
-		return runSweepParallel(cfg)
-	}
-	plans := sweepPlans(cfg)
-	out := make([]Point, 0, len(plans))
-	cut := false
-	for _, pl := range plans {
-		var p Point
-		if cut {
-			p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
-		} else {
-			p = MeasurePoint(cfg, pl.lib, pl.r, pl.n)
-			if leafCanceled(p.Err) {
-				cut = true
-				p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
-			}
-		}
-		out = append(out, p)
-		progressLine(cfg.Progress, p)
-	}
-	return out
-}
+func RunSweep(cfg Config) []Point { return runPlans(cfg, sweepPlans(cfg)) }
 
 // WriteCSV emits points as CSV with a header, in a stable order.
 func WriteCSV(w io.Writer, points []Point) error {

@@ -182,8 +182,8 @@ func TestRunSweepCancelRealLibraries(t *testing.T) {
 }
 
 // cancelAfterLines is a Progress sink that fires a context cancellation
-// after its n-th line — a deterministic mid-sweep cancellation trigger for
-// the sequential path.
+// after its n-th line — a deterministic mid-sweep cancellation trigger at
+// one worker.
 type cancelAfterLines struct {
 	n      int
 	lines  int
@@ -199,7 +199,7 @@ func (w *cancelAfterLines) Write(p []byte) (int, error) {
 }
 
 // TestCancelledSweepLeaksNoGoroutines runs a cancelled parallel sweep of
-// real libraries — worker pool, per-run context watchdogs and all — and
+// real libraries — sweep workers, per-run context watchdogs and all — and
 // verifies every goroutine winds down afterwards.
 func TestCancelledSweepLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()

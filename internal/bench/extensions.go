@@ -7,6 +7,7 @@ import (
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
 	"xkblas/internal/core"
+	"xkblas/internal/fanout"
 	"xkblas/internal/matrix"
 	"xkblas/internal/topology"
 	"xkblas/internal/xkrt"
@@ -41,50 +42,30 @@ func (e Env) Scalability(w io.Writer, quick bool) {
 	}
 }
 
-// measureOn runs a best-tile measurement on an explicit platform. With
-// cfg.Parallel > 1 the (tile, repetition) runs execute concurrently —
-// topology platforms are read-only during runs, so sharing one across
-// simulations is safe — and are reduced in sequential order, keeping the
-// result bit-identical to a sequential measurement.
+// measureOn runs a best-tile measurement on an explicit platform. The
+// (tile, repetition) runs fan out over Env.Parallel workers — topology
+// platforms are read-only during runs, so sharing one across simulations
+// is safe — and are reduced in tile and repetition order, so the result is
+// the same at any worker count.
 func measureOn(cfg Config, lib baseline.Library, r blasops.Routine, n int, plat *topology.Platform) float64 {
-	grid := make([][]baseline.Result, len(cfg.Tiles))
-	runOne := func(ti, rep int) {
-		grid[ti][rep-1] = lib.Run(baseline.Request{
-			Routine: r, N: n, NB: cfg.Tiles[ti], Platform: plat,
-			NoiseAmp: cfg.NoiseAmp, NoiseSeed: int64(rep) * 131,
+	runs := make([]baseline.Result, len(cfg.Tiles)*cfg.Runs) // tile-major
+	fanout.Each(cfg.Parallel, len(runs), func(i int) {
+		runs[i] = lib.Run(baseline.Request{
+			Routine: r, N: n, NB: cfg.Tiles[i/cfg.Runs], Platform: plat,
+			NoiseAmp: cfg.NoiseAmp, NoiseSeed: int64(i%cfg.Runs+1) * 131,
 			Check: cfg.Check, Ctx: cfg.Ctx,
 		})
-	}
-	if cfg.Parallel > 1 {
-		pool := newWorkerPool(cfg.Parallel)
-		for ti := range cfg.Tiles {
-			grid[ti] = make([]baseline.Result, cfg.Runs)
-			for rep := 1; rep <= cfg.Runs; rep++ {
-				pool.Submit(func() { runOne(ti, rep) })
-			}
-		}
-		pool.Wait()
-	} else {
-		for ti := range cfg.Tiles {
-			grid[ti] = make([]baseline.Result, cfg.Runs)
-			for rep := 1; rep <= cfg.Runs; rep++ {
-				runOne(ti, rep)
-				if grid[ti][rep-1].Err != nil {
-					break
-				}
-			}
-		}
-	}
+	})
 	best := 0.0
 	for ti := range cfg.Tiles {
 		var sum float64
 		count := 0
-		for rep := 0; rep < cfg.Runs; rep++ {
-			if grid[ti][rep].Err != nil {
+		for _, res := range runs[ti*cfg.Runs : (ti+1)*cfg.Runs] {
+			if res.Err != nil {
 				count = 0
 				break
 			}
-			sum += grid[ti][rep].GFlops
+			sum += res.GFlops
 			count++
 		}
 		if count > 0 && sum/float64(count) > best {

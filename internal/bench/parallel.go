@@ -1,148 +1,111 @@
 package bench
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"xkblas/internal/baseline"
-	"xkblas/internal/blasops"
+	"xkblas/internal/fanout"
 )
 
-// Parallel sweep execution.
+// Sweep execution: the one path by which a point is measured.
 //
-// Every simulated repetition owns a private sim.Engine and platform, so the
-// runs of a sweep are embarrassingly parallel. The harness flattens a sweep
-// into its leaf work units — one (point, tile, repetition) simulation each —
-// and executes them on a bounded pool of worker goroutines. Determinism is
-// preserved at the join: results are written into pre-indexed slots and
-// reduced by the same code, in the same order, as the sequential loop, so
-// the returned []Point (and the Progress stream) is bit-identical at every
-// parallelism level. See DESIGN.md §6.
+// Every simulated repetition owns a private sim.Engine and platform, so
+// the runs of a sweep are independent. The harness flattens a sweep into
+// its leaves — one (point, tile, repetition) simulation each — in plan
+// order and dispatches them, in that order, to max(1, Env.Parallel)
+// workers (internal/fanout). The worker that finishes a point's last leaf
+// commits it: under one lock it reduces and reports every finished point
+// that has no unfinished predecessor, in plan order, then drops their
+// handle pools and leaf results. With one worker this is the sequential
+// loop; at any worker count the points and the Progress stream are
+// bit-identical to it. See DESIGN.md §6.
 
-// workerCount clamps a configured parallelism to at least one worker.
-func workerCount(parallel int) int {
-	if parallel < 1 {
-		return 1
-	}
-	return parallel
+// sweepPoint is one planned point while its leaves run.
+type sweepPoint struct {
+	plan sweepPlan
+	// handles recycles library contexts across the point's leaves: they
+	// share one library, hence one context configuration.
+	handles *baseline.HandlePool
+	tiles   []tileRuns
+	pending atomic.Int64 // leaves not yet finished
+	done    bool         // every leaf finished; guarded by sweep.mu
 }
 
-// workerPool executes submitted closures on at most `workers` goroutines.
-// Submit never blocks the caller beyond goroutine spawn; the semaphore
-// bounds concurrent execution, not submission.
-type workerPool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
+// leaf is one simulated repetition of a sweep.
+type leaf struct{ point, tile, rep int }
+
+// sweep is the state of one runPlans call.
+type sweep struct {
+	cfg    Config
+	points []sweepPoint
+	mu     sync.Mutex
+	out    []Point // committed points, in plan order
+	cut    bool    // a committed point was cancelled
 }
 
-func newWorkerPool(workers int) *workerPool {
-	return &workerPool{sem: make(chan struct{}, workerCount(workers))}
-}
-
-// Submit schedules fn for execution on the pool.
-func (p *workerPool) Submit(fn func()) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		fn()
-	}()
-}
-
-// Wait blocks until every submitted closure has finished.
-func (p *workerPool) Wait() { p.wg.Wait() }
-
-// measureTilesParallel fills the same per-tile repetition grid as
-// measureTilesSequential, running every (tile, repetition) leaf
-// concurrently. Unlike the sequential path it does not stop a tile at its
-// first failing repetition — later slots are filled too — but reducePoint
-// reads repetitions in order and stops at the first error, so the reduced
-// Point is identical.
-func measureTilesParallel(cfg Config, handles *baseline.HandlePool, lib baseline.Library, r blasops.Routine, n int, tiles []int) []tileRuns {
+// runPlans measures the planned points: the single execution path behind
+// RunSweep and MeasurePoint.
+func runPlans(cfg Config, plans []sweepPlan) []Point {
 	runs := effectiveRuns(cfg)
-	out := make([]tileRuns, len(tiles))
-	pool := newWorkerPool(cfg.Parallel)
-	for ti, nb := range tiles {
-		out[ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs+1), upTo: runs + 1}
-		for rep := 0; rep <= runs; rep++ {
-			pool.Submit(func() {
-				out[ti].res[rep] = runRep(cfg, handles, lib, r, n, nb, rep)
-			})
-		}
-	}
-	pool.Wait()
-	return out
-}
-
-// runSweepParallel executes a whole sweep on the worker pool. The sweep is
-// flattened into leaf simulations up front (tile candidates depend only on
-// the config, never on results), every leaf writes into its pre-assigned
-// slot, and a single committer reduces and reports points in sequential
-// order — a point's Progress line is emitted as soon as it and every
-// earlier point have finished, preserving both streaming and ordering.
-func runSweepParallel(cfg Config) []Point {
-	plans := sweepPlans(cfg)
-	nPoints := len(plans)
-	grids := make([][]tileRuns, nPoints)
-	remaining := make([]atomic.Int64, nPoints)
-	done := make(chan int, nPoints)
-	runs := effectiveRuns(cfg)
-
-	pool := newWorkerPool(cfg.Parallel)
+	s := &sweep{cfg: cfg, points: make([]sweepPoint, len(plans)), out: make([]Point, 0, len(plans))}
+	var leaves []leaf
 	for pi, pl := range plans {
-		tiles := feasibleTiles(cfg, pl.lib, pl.n)
-		grids[pi] = make([]tileRuns, len(tiles))
-		leaves := int64(len(tiles)) * int64(runs+1)
-		if leaves == 0 {
-			// No feasible tile: the point is already complete.
-			done <- pi
-			continue
-		}
-		remaining[pi].Store(leaves)
-		// One handle pool per point: every leaf of the point shares one
-		// library (hence one context configuration), so its engines,
-		// platforms and runtime arenas are recycled across tiles and
-		// repetitions instead of rebuilt per leaf.
-		handles := baseline.NewHandlePool()
-		for ti, nb := range tiles {
-			grids[pi][ti] = tileRuns{nb: nb, res: make([]baseline.Result, runs+1), upTo: runs + 1}
+		sp := &s.points[pi]
+		sp.plan, sp.handles = pl, baseline.NewHandlePool()
+		nbs := feasibleTiles(cfg, pl.lib, pl.n)
+		sp.tiles = make([]tileRuns, len(nbs))
+		for ti, nb := range nbs {
+			sp.tiles[ti].nb = nb
+			sp.tiles[ti].res = make([]baseline.Result, runs+1)
+			sp.tiles[ti].failed.Store(math.MaxInt32)
 			for rep := 0; rep <= runs; rep++ {
-				pool.Submit(func() {
-					grids[pi][ti].res[rep] = runRep(cfg, handles, pl.lib, pl.r, pl.n, nb, rep)
-					if remaining[pi].Add(-1) == 0 {
-						done <- pi
-					}
-				})
+				leaves = append(leaves, leaf{pi, ti, rep})
 			}
 		}
+		sp.pending.Store(int64(len(nbs) * (runs + 1)))
+		if len(nbs) == 0 {
+			s.finish(pi) // no feasible tile: nothing to run
+		}
 	}
+	fanout.Each(cfg.Parallel, len(leaves), func(i int) {
+		lf := leaves[i]
+		sp := &s.points[lf.point]
+		tr := &sp.tiles[lf.tile]
+		if tr.failed.Load() > int32(lf.rep) {
+			res := runRep(cfg, sp.handles, sp.plan.lib, sp.plan.r, sp.plan.n, tr.nb, lf.rep)
+			tr.res[lf.rep] = res
+			if res.Err != nil {
+				tr.fail(int32(lf.rep))
+			}
+		}
+		if sp.pending.Add(-1) == 0 {
+			s.finish(lf.point)
+		}
+	})
+	return s.out
+}
 
-	// Ordered commit: reduce and report each point once it and all its
-	// predecessors are complete. On cancellation the cut is monotonic: once
-	// one point has a cancelled leaf, every later point is reported as
-	// cancelled too, even if its leaves happened to finish out of order —
-	// that keeps the parallel partial prefix identical to the sequential
-	// one.
-	out := make([]Point, 0, nPoints)
-	ready := make([]bool, nPoints)
-	cut := false
-	for emitted := 0; emitted < nPoints; {
-		ready[<-done] = true
-		for emitted < nPoints && ready[emitted] {
-			pl := plans[emitted]
-			var p Point
-			if cut || pointCanceled(grids[emitted]) {
-				cut = true
-				p = canceledPoint(cfg, pl.lib, pl.r, pl.n)
-			} else {
-				p = reducePoint(pl.lib, pl.r, pl.n, grids[emitted])
-			}
-			out = append(out, p)
-			progressLine(cfg.Progress, p)
-			emitted++
+// finish marks point pi complete, then commits every complete point that
+// has no uncommitted predecessor: reduce it (or cut it, once a point was
+// cancelled), print its Progress line and drop its pools and results.
+func (s *sweep) finish(pi int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.points[pi].done = true
+	for len(s.out) < len(s.points) && s.points[len(s.out)].done {
+		sp := &s.points[len(s.out)]
+		pl := sp.plan
+		var p Point
+		s.cut = s.cut || pointCanceled(sp.tiles)
+		if s.cut {
+			p = canceledPoint(s.cfg, pl.lib, pl.r, pl.n)
+		} else {
+			p = reducePoint(pl.lib, pl.r, pl.n, sp.tiles)
 		}
+		sp.handles, sp.tiles = nil, nil
+		s.out = append(s.out, p)
+		progressLine(s.cfg.Progress, p)
 	}
-	pool.Wait()
-	return out
 }

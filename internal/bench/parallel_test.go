@@ -67,53 +67,88 @@ func pointsIdentical(t *testing.T, label string, a, b []Point) {
 	}
 }
 
+// refSweep is the test oracle of the sweep harness: the plain sequential
+// loop over the plans — one handle pool per point, tile by tile, repetition
+// by repetition, a tile stopping at its first error — then reducePoint and
+// the point's Progress line. RunSweep must reproduce it bit for bit at
+// every worker count. Cancellation is not modelled; cancel_test.go pins it.
+func refSweep(cfg Config, plans []sweepPlan) []Point {
+	var out []Point
+	for _, pl := range plans {
+		pool := baseline.NewHandlePool()
+		nbs := feasibleTiles(cfg, pl.lib, pl.n)
+		tiles := make([]tileRuns, len(nbs))
+		for ti, nb := range nbs {
+			tiles[ti].nb = nb
+			tiles[ti].res = make([]baseline.Result, effectiveRuns(cfg)+1)
+			for rep := range tiles[ti].res {
+				tiles[ti].res[rep] = runRep(cfg, pool, pl.lib, pl.r, pl.n, nb, rep)
+				if tiles[ti].res[rep].Err != nil {
+					break
+				}
+			}
+		}
+		p := reducePoint(pl.lib, pl.r, pl.n, tiles)
+		out = append(out, p)
+		progressLine(cfg.Progress, p)
+	}
+	return out
+}
+
+// workerCounts are the parallelism levels every parity test runs.
+var workerCounts = []int{1, 4, runtime.NumCPU()}
+
 // TestRunSweepParallelParity proves the determinism guarantee of the
-// parallel harness: parallelism 1, 4 and NumCPU return bit-identical
-// points and identical Progress streams.
+// harness: at parallelism 1, 4 and NumCPU it returns the oracle's points
+// and Progress stream bit for bit.
 func TestRunSweepParallelParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-level sweep parity is not a -short test")
 	}
 	base := parityConfig()
-	var seqProgress bytes.Buffer
-	base.Progress = &seqProgress
-	base.Parallel = 1
-	seq := RunSweep(base)
+	var refProgress bytes.Buffer
+	base.Progress = &refProgress
+	ref := refSweep(base, sweepPlans(base))
 
-	for _, workers := range []int{4, runtime.NumCPU()} {
+	for _, workers := range workerCounts {
 		cfg := parityConfig()
 		var progress bytes.Buffer
 		cfg.Progress = &progress
 		cfg.Parallel = workers
-		par := RunSweep(cfg)
-		pointsIdentical(t, fmt.Sprintf("parallel=%d", workers), seq, par)
-		if progress.String() != seqProgress.String() {
-			t.Fatalf("parallel=%d progress stream differs:\n--- sequential ---\n%s--- parallel ---\n%s",
-				workers, seqProgress.String(), progress.String())
+		got := RunSweep(cfg)
+		pointsIdentical(t, fmt.Sprintf("parallel=%d", workers), ref, got)
+		if progress.String() != refProgress.String() {
+			t.Fatalf("parallel=%d progress stream differs:\n--- oracle ---\n%s--- RunSweep ---\n%s",
+				workers, refProgress.String(), progress.String())
 		}
 	}
 }
 
 // TestMeasurePointParallelParity checks the per-tile/per-repetition fan-out
-// inside a single point, including the all-tiles-fail error path.
+// inside a single point against the oracle, including the all-tiles-fail
+// error path, and that MeasurePoint prints no Progress line.
 func TestMeasurePointParallelParity(t *testing.T) {
-	cfg := Config{Tiles: []int{1024, 2048, 4096}, Runs: 3, NoiseAmp: 0.02}
 	lib := baseline.XKBlas()
-	seq := MeasurePoint(cfg, lib, blasops.Gemm, 8192)
-	cfg.Parallel = 4
-	par := MeasurePoint(cfg, lib, blasops.Gemm, 8192)
-	pointsIdentical(t, "point", []Point{seq}, []Point{par})
-
-	// All tiles infeasible under the cap: both paths must surface the same
-	// tagged error.
-	failCfg := Config{Tiles: []int{512, 1024}, Runs: 1, MaxTilesPerDim: 2}
-	seqErr := MeasurePoint(failCfg, lib, blasops.Gemm, 16384)
-	failCfg.Parallel = 4
-	parErr := MeasurePoint(failCfg, lib, blasops.Gemm, 16384)
-	if seqErr.Err == nil || parErr.Err == nil {
-		t.Fatalf("expected errors, got seq=%v par=%v", seqErr.Err, parErr.Err)
+	for _, cfg := range []Config{
+		{Tiles: []int{1024, 2048, 4096}, Runs: 3, NoiseAmp: 0.02},
+		// All tiles infeasible under the cap: the tagged error.
+		{Tiles: []int{512, 1024}, Runs: 1, MaxTilesPerDim: 2},
+	} {
+		n := 8192
+		if cfg.MaxTilesPerDim > 0 {
+			n = 16384
+		}
+		ref := refSweep(cfg, []sweepPlan{{lib: lib, r: blasops.Gemm, n: n}})
+		for _, workers := range workerCounts {
+			var progress bytes.Buffer
+			cfg.Parallel, cfg.Progress = workers, &progress
+			got := MeasurePoint(cfg, lib, blasops.Gemm, n)
+			pointsIdentical(t, fmt.Sprintf("parallel=%d N=%d", workers, n), ref, []Point{got})
+			if progress.Len() != 0 {
+				t.Fatalf("MeasurePoint wrote progress %q", progress.String())
+			}
+		}
 	}
-	pointsIdentical(t, "error point", []Point{seqErr}, []Point{parErr})
 }
 
 // TestTileCandidatesDeduped covers the ExtraTilesFor dedupe: a tile listed
@@ -140,16 +175,6 @@ func TestTileCandidatesDeduped(t *testing.T) {
 	}
 }
 
-// failingLib is a stub library whose every run fails, for exercising the
-// all-tiles-fail error path deterministically.
-type failingLib struct{}
-
-func (failingLib) Name() string                    { return "failing" }
-func (failingLib) Supports(r blasops.Routine) bool { return true }
-func (failingLib) Run(req baseline.Request) baseline.Result {
-	return baseline.Result{Err: fmt.Errorf("simulated allocation failure (nb=%d)", req.NB)}
-}
-
 // TestMeasurePointErrorRetainsTile asserts the all-tiles-fail point names
 // the last failing tile size and retains its underlying error, instead of
 // the bare placeholder; when no tile was even attempted the placeholder
@@ -157,7 +182,7 @@ func (failingLib) Run(req baseline.Request) baseline.Result {
 func TestMeasurePointErrorRetainsTile(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := Config{Env: Env{Parallel: workers}, Tiles: []int{1024, 2048}, Runs: 1}
-		p := MeasurePoint(cfg, failingLib{}, blasops.Gemm, 8192)
+		p := MeasurePoint(cfg, &countingLib{fail: true}, blasops.Gemm, 8192)
 		if p.Err == nil {
 			t.Fatal("expected an error when every tile fails")
 		}
@@ -177,27 +202,62 @@ func TestMeasurePointErrorRetainsTile(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolStress hammers the pool with many tiny tasks at high
-// concurrency; run with -race to verify the harness is race-clean.
-func TestWorkerPoolStress(t *testing.T) {
-	const tasks = 2000
-	pool := newWorkerPool(32)
-	var counter atomic.Int64
-	slots := make([]int64, tasks)
-	for i := 0; i < tasks; i++ {
-		pool.Submit(func() {
-			slots[i] = counter.Add(1)
-			runtime.Gosched()
-		})
+// countingLib is a stub library that records how often Run is called and
+// the largest goroutine count seen inside it. Every run fails when fail is
+// set and succeeds at 1 GFlop/s otherwise.
+type countingLib struct {
+	fail                 bool
+	calls, maxGoroutines atomic.Int64
+}
+
+func (*countingLib) Name() string                    { return "counting" }
+func (*countingLib) Supports(r blasops.Routine) bool { return true }
+func (l *countingLib) Run(req baseline.Request) baseline.Result {
+	l.calls.Add(1)
+	g := int64(runtime.NumGoroutine())
+	for cur := l.maxGoroutines.Load(); g > cur && !l.maxGoroutines.CompareAndSwap(cur, g); cur = l.maxGoroutines.Load() {
 	}
-	pool.Wait()
-	if got := counter.Load(); got != tasks {
-		t.Fatalf("ran %d tasks, want %d", got, tasks)
+	runtime.Gosched()
+	if l.fail {
+		return baseline.Result{Err: fmt.Errorf("simulated allocation failure (nb=%d)", req.NB)}
 	}
-	for i, v := range slots {
-		if v == 0 {
-			t.Fatalf("task %d never ran", i)
-		}
+	return baseline.Result{GFlops: 1}
+}
+
+// TestRunSweepBoundedGoroutines pins the fixed worker set: a 216-leaf
+// sweep at Parallel 4 never has more than 4 workers (the caller is one of
+// them) plus a small slack alive, instead of one goroutine per leaf.
+func TestRunSweepBoundedGoroutines(t *testing.T) {
+	lib := &countingLib{}
+	cfg := Config{
+		Env:      Env{Parallel: 4},
+		Libs:     []baseline.Library{lib},
+		Routines: []blasops.Routine{blasops.Gemm},
+		Sizes:    []int{4096, 5120, 6144, 7168, 8192, 9216, 10240, 11264, 12288, 13312, 14336, 15360},
+		Tiles:    []int{1024, 2048},
+		Runs:     8,
+	}
+	start := int64(runtime.NumGoroutine())
+	RunSweep(cfg)
+	if got := lib.calls.Load(); got != 12*2*9 {
+		t.Fatalf("Run called %d times, want %d", got, 12*2*9)
+	}
+	if limit := start + 4 + 2; lib.maxGoroutines.Load() > limit {
+		t.Fatalf("%d goroutines alive during the sweep, want at most %d (start %d + 4 workers + 2)",
+			lib.maxGoroutines.Load(), limit, start)
+	}
+}
+
+// TestRunSweepStopsTileAtFirstError pins the early stop: with one worker a
+// tile whose warm-up fails is not run again.
+func TestRunSweepStopsTileAtFirstError(t *testing.T) {
+	lib := &countingLib{fail: true}
+	cfg := Config{Env: Env{Parallel: 1}, Tiles: []int{1024, 2048}, Runs: 3}
+	if p := MeasurePoint(cfg, lib, blasops.Gemm, 8192); p.Err == nil {
+		t.Fatal("expected an error when every tile fails")
+	}
+	if got := lib.calls.Load(); got != 2 {
+		t.Fatalf("Run called %d times for 2 failing tiles, want one call per tile", got)
 	}
 }
 

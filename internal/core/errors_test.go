@@ -76,6 +76,14 @@ func TestShapeMismatchesPanic(t *testing.T) {
 	expectPanic(t, "zhemm A smaller than C", func() {
 		h.ZhemmAsync(Left, Lower, 1, zsmall, zsq, 1, zsq)
 	})
+	// HERK and HER2K take op ∈ {N, C}; a plain transpose is refused at
+	// submission, not inside a tile kernel.
+	expectPanic(t, "zherk trans T", func() {
+		h.ZherkAsync(Lower, Transpose, 1, zsq, 1, zsq)
+	})
+	expectPanic(t, "zher2k trans T", func() {
+		h.Zher2kAsync(Lower, Transpose, 1, zsq, zsq, 1, zsq)
+	})
 }
 
 // TestSyrkAlphaZeroScalesTriangleOnly: with alpha = 0 the rank-k and

@@ -19,7 +19,16 @@ func (h *Handle) SyrkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix
 // of the Hermitian C (alpha, beta real; trans ∈ {N, C}): SyrkAsync's nest
 // with HERK diagonal tiles and conjugate-transposed GEMM panels.
 func (h *Handle) ZherkAsync(uplo Uplo, trans Trans, alpha float64, a *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	requireHermTrans("zherk", trans)
 	syrkNest(zkern{h}, "zherk", uplo, trans, complex(alpha, 0), a, complex(beta, 0), c)
+}
+
+// requireHermTrans rejects a plain transpose for the Hermitian rank
+// updates: like netlib ZHERK/ZHER2K they take op ∈ {N, C} only.
+func requireHermTrans(name string, trans Trans) {
+	if trans == Transpose {
+		panic(fmt.Sprintf("core: %s trans must be N or C", name))
+	}
 }
 
 // syrkNest is the PLASMA pdsyrk loop nest of SYRK and HERK.
@@ -71,6 +80,7 @@ func (h *Handle) Syr2kAsync(uplo Uplo, trans Trans, alpha float64, a, b *xkrt.Ma
 // beta·C on the uplo triangle of the Hermitian C (beta real):
 // Syr2kAsync's nest with HER2K diagonal tiles.
 func (h *Handle) Zher2kAsync(uplo Uplo, trans Trans, alpha complex128, a, b *xkrt.Matrix, beta float64, c *xkrt.Matrix) {
+	requireHermTrans("zher2k", trans)
 	syr2kNest(zkern{h}, "zher2k", uplo, trans, alpha, a, b, complex(beta, 0), c)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"xkblas/internal/baseline"
 	"xkblas/internal/blasops"
+	"xkblas/internal/fanout"
 	"xkblas/internal/topology"
 )
 
@@ -138,32 +139,11 @@ func (d *demandTable) prewarm(trace []Arrival) error {
 		}
 	}
 
-	workers := d.cfg.Parallel
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan demandKey)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				d.get(k)
-			}
-		}()
-	}
-	for _, k := range keys {
-		if err := d.cfg.ctxErr(); err != nil {
-			break
+	fanout.Each(d.cfg.Parallel, len(keys), func(i int) {
+		if d.cfg.ctxErr() == nil {
+			d.get(keys[i])
 		}
-		next <- k
-	}
-	close(next)
-	wg.Wait()
+	})
 
 	if err := d.cfg.ctxErr(); err != nil {
 		return err

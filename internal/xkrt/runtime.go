@@ -17,16 +17,13 @@ import (
 
 // Options configure a runtime instance: the complete runtime policy as one
 // bundle plus the mechanism knobs every policy shares (pipeline depth,
-// owner grid, admission window).
+// admission window).
 type Options struct {
 	// Window is the per-device software pipeline depth: how many tasks may
 	// be fetching operands while one computes. XKaapi overlaps
 	// communication and computation by running each operation type on its
 	// own stream (§II-B).
 	Window int
-	// GridP×GridQ is the owner-computes mapping grid; 0 derives it from
-	// the GPU count (8→4×2, matching the paper's DoD grid).
-	GridP, GridQ int
 	// StreamWindow, when positive, bounds the number of live tasks
 	// (admitted into the runtime but not yet completed): a submission past
 	// the bound waits, in submission order, until older tasks retire. A
@@ -46,9 +43,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.Window < 1 {
 		return fmt.Errorf("xkrt: Options.Window must be >= 1, got %d", o.Window)
-	}
-	if o.GridP < 0 || o.GridQ < 0 {
-		return fmt.Errorf("xkrt: negative owner grid %dx%d", o.GridP, o.GridQ)
 	}
 	if o.StreamWindow < 0 {
 		return fmt.Errorf("xkrt: negative Options.StreamWindow %d", o.StreamWindow)
@@ -123,6 +117,10 @@ type Runtime struct {
 	pending int // submitted but not completed tasks
 	ownerRR int // round-robin fallback for unowned written tiles
 
+	// gridP×gridQ is the owner-computes mapping grid, the most square
+	// factoring of the GPU count (8→4×2, the paper's DoD grid).
+	gridP, gridQ int
+
 	// reg is the run's private metrics registry. It always exists — the
 	// policy decision counters live on it and must count even when the
 	// caller never collects metrics (xkbench -decisions works without
@@ -180,9 +178,6 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		panic(err)
 	}
 	n := len(plat.GPUs)
-	if opt.GridP == 0 || opt.GridQ == 0 {
-		opt.GridP, opt.GridQ = defaultGrid(n)
-	}
 	rt := &Runtime{
 		Eng:        eng,
 		Plat:       plat,
@@ -193,6 +188,7 @@ func New(eng *sim.Engine, plat *device.Platform, functional bool, opt Options) *
 		window:     make([]int, n),
 		estLoad:    make([]sim.Time, n),
 	}
+	rt.gridP, rt.gridQ = defaultGrid(n)
 	rt.reg = metrics.NewRegistry()
 	rt.counters = policy.NewCounters(rt.reg)
 	rt.stallHist = rt.reg.Histogram("rt.stall_seconds", StallBuckets)
@@ -378,7 +374,7 @@ func (s schedState) EstimateExec(t policy.SchedTask) sim.Time {
 }
 
 // Grid implements policy.SchedState.
-func (s schedState) Grid() (p, q int) { return s.rt.Opt.GridP, s.rt.Opt.GridQ }
+func (s schedState) Grid() (p, q int) { return s.rt.gridP, s.rt.gridQ }
 
 // NextRoundRobin implements policy.SchedState.
 func (s schedState) NextRoundRobin() topology.DeviceID {
